@@ -36,7 +36,7 @@ Cell run_cell(core::ClusterKind cluster, std::uint32_t value_size, std::uint64_t
     core::TestBedConfig config;
     config.cluster = cluster;
     config.transport = core::TransportKind::ucr_verbs;
-    config.onesided = onesided;
+    if (onesided) config.client.mode = mc::ClientBehavior::Mode::onesided_get;
     core::TestBed bed(config);
     core::WorkloadConfig workload;
     workload.pattern = core::OpPattern::pure_get;

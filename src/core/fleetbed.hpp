@@ -56,7 +56,7 @@ class FleetBed {
   std::size_t shard_count() const { return servers_.size(); }
   mc::Server& shard(std::size_t i) { return *servers_.at(i); }
   /// The UCR transport mode every client connection runs in.
-  mc::ClientBehavior::Mode client_mode() const { return config_.client.effective_mode(); }
+  mc::ClientBehavior::Mode client_mode() const { return config_.client.mode; }
 
   std::size_t client_count() const { return clients_.size(); }
   mc::Client& client(std::size_t i) { return *clients_.at(i); }

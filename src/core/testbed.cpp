@@ -169,9 +169,7 @@ TestBed::TestBed(TestBedConfig config) : config_(config) {
         std::make_unique<verbs::Hca>(*sched_, *fabric_, *server_host_, hca_costs);
     server_ucr_ = std::make_unique<ucr::Runtime>(*server_hca_, config.ucr);
     server_->attach_ucr_frontend(*server_ucr_);
-    mc::ClientBehavior behavior = config.client;
-    if (config.onesided) behavior.onesided_get = true;  // deprecated spelling
-    switch (behavior.effective_mode()) {
+    switch (config.client.mode) {
       case mc::ClientBehavior::Mode::onesided_get:
         publisher_ = std::make_unique<onesided::Publisher>(
             *server_ucr_, *server_host_, server_->store(), config.onesided_cfg);
@@ -187,7 +185,7 @@ TestBed::TestBed(TestBedConfig config) : config_(config) {
       client_hcas_.push_back(
           std::make_unique<verbs::Hca>(*sched_, *fabric_, *client_hosts_[i], hca_costs));
       client_ucrs_.push_back(std::make_unique<ucr::Runtime>(*client_hcas_[i], config.ucr));
-      auto client = std::make_unique<mc::Client>(*sched_, *client_hosts_[i], behavior);
+      auto client = std::make_unique<mc::Client>(*sched_, *client_hosts_[i], config.client);
       client->add_server_ucr(*client_ucrs_[i], server_ucr_->addr(),
                              config.server.port);
       clients_.push_back(std::move(client));

@@ -54,11 +54,8 @@ struct TestBedConfig {
   mc::ServerConfig server{};
   mc::ClientBehavior client{};
   ucr::UcrConfig ucr{};  ///< eager threshold / CQ mode ablations
-  /// One-sided GET: publish the server's remote index and have clients
-  /// serve GETs with RDMA Reads (UCR transports only). Off by default.
-  /// Deprecated shim for `client.mode = Mode::onesided_get`; either spelling
-  /// builds the server-side Publisher.
-  bool onesided = false;
+  /// Server-side index publisher knobs when `client.mode` is
+  /// Mode::onesided_get (UCR transports only; ignored otherwise).
   onesided::PublisherConfig onesided_cfg{};
   /// Server-side ring geometry / poll policy when `client.mode` is
   /// Mode::rfp (UCR transports only; ignored otherwise).
@@ -81,10 +78,9 @@ class TestBed {
 
   std::size_t client_count() const { return clients_.size(); }
   mc::Client& client(std::size_t i) { return *clients_.at(i); }
-  /// Null unless the effective client mode is onesided_get on a UCR
-  /// transport (config.onesided or client.mode).
+  /// Null unless the client mode is onesided_get on a UCR transport.
   onesided::Publisher* publisher() { return publisher_.get(); }
-  /// Null unless the effective client mode is rfp on a UCR transport.
+  /// Null unless the client mode is rfp on a UCR transport.
   rfp::RingServer* ring_server() { return ring_server_.get(); }
   /// Null on socket transports.
   verbs::Hca* server_hca() { return server_hca_.get(); }

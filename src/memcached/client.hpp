@@ -48,7 +48,10 @@ struct ClientBehavior {
   ///                   requests RDMA-written into a server-polled ring,
   ///                   responses RDMA-written back and polled locally
   ///                   (DESIGN.md §16). Every mode falls back to RPC per
-  ///                   op when its bypass cannot serve it.
+  ///                   op when its bypass cannot serve it — except a
+  ///                   non-idempotent op (incr/decr/append/prepend/add/
+  ///                   cas) whose ring request may have reached the
+  ///                   server: that returns the ring's error instead.
   enum class Mode : std::uint8_t { rpc, onesided_get, rfp };
 
   HashKind key_hash = HashKind::default_jenkins;
@@ -66,15 +69,6 @@ struct ClientBehavior {
   /// UCR transport mode (see Mode). rpc by default: the RPC-only request
   /// stream is byte-identical to every pre-mode build.
   Mode mode = Mode::rpc;
-  /// Deprecated shim for Mode::onesided_get — still honored (promotes
-  /// `mode` when that is rpc) so existing examples/tests compile; prefer
-  /// `mode`. Do not set both to different non-rpc answers.
-  bool onesided_get = false;
-  /// The mode after the deprecated bool shim is applied.
-  Mode effective_mode() const {
-    if (mode != Mode::rpc) return mode;
-    return onesided_get ? Mode::onesided_get : Mode::rpc;
-  }
   /// Torn-observation re-reads before a one-sided GET falls back to RPC.
   std::uint32_t onesided_torn_retries = 2;
   /// RFP ring geometry/poll knobs (Mode::rfp connections only).

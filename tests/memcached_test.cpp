@@ -1,6 +1,7 @@
 // End-to-end memcached tests: full client/server round trips over the UCR
-// (verbs) transport and over the byte-stream stacks, mixed-transport
-// serving, multi-server pools, and the §V zero-copy properties.
+// (verbs) transport in every client mode and over the byte-stream stacks,
+// mixed-transport serving, multi-server pools, and the §V zero-copy
+// properties.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,7 +14,12 @@
 #include "core/testbed.hpp"
 #include "memcached/client.hpp"
 #include "memcached/server.hpp"
+#include "memcached/ucr_proto.hpp"
+#include "obs/metrics.hpp"
+#include "onesided/publisher.hpp"
+#include "rfp/ring_server.hpp"
 #include "simnet/netparams.hpp"
+#include "ucr/runtime.hpp"
 
 namespace rmc::mc {
 namespace {
@@ -148,6 +154,166 @@ TEST(EndToEnd, FullApiOverSockets) {
   auto client = bed.make_sock_client();
   bool done = false;
   bed.run(exercise_full_api(*client, &done));
+  EXPECT_TRUE(done);
+}
+
+/// The TestBed with its UCR client in one ClientBehavior::Mode, the
+/// server side wired the way core::TestBed wires it: a Publisher for
+/// onesided_get, a RingServer for rfp.
+struct ModeBed : TestBed {
+  std::unique_ptr<onesided::Publisher> publisher;
+  std::unique_ptr<rfp::RingServer> rings;
+  std::unique_ptr<Client> client;
+
+  explicit ModeBed(ClientBehavior::Mode mode) {
+    if (mode == ClientBehavior::Mode::onesided_get) {
+      publisher = std::make_unique<onesided::Publisher>(server_ucr, server_host, server.store());
+    } else if (mode == ClientBehavior::Mode::rfp) {
+      rings = std::make_unique<rfp::RingServer>(server_ucr, server_host, server.store());
+    }
+    ClientBehavior behavior;
+    behavior.mode = mode;
+    client = std::make_unique<Client>(sched, client_host, behavior);
+    client->add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
+  }
+};
+
+/// The legs where the bypass modes part ways with RPC: get_into that fits
+/// and that does not, and an 8 KB value — larger than an RFP slot and a
+/// one-sided record slot, so both bypasses fall back to RPC — fetched
+/// alone and inside an mget. Appends every reply to `log`.
+Task<> exercise_bypass_legs(Client& client, std::string* log) {
+  auto note = [log](const std::string& line) { *log += line + "\n"; };
+  auto err = [](Errc e) { return std::to_string(static_cast<int>(e)); };
+
+  std::string big(8 * 1024, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>('a' + i % 26);
+  EXPECT_TRUE((co_await client.set("small", val("tiny value"), 5)).ok());
+  EXPECT_TRUE((co_await client.set("big", val(big), 6)).ok());
+
+  const char* const fetched[] = {"small", "big", "absent"};
+  const std::size_t caps[] = {64, 4, 16 * 1024};
+  for (const char* key : fetched) {
+    for (const std::size_t cap : caps) {
+      std::vector<std::byte> dest(cap);
+      auto into = co_await client.get_into(key, dest);
+      if (into.ok()) {
+        note(std::string("get_into ") + key + " cap " + std::to_string(cap) + " ok len " +
+             std::to_string(into->value_len) + " flags " + std::to_string(into->flags) + " " +
+             str(std::span<const std::byte>(dest).first(into->value_len)));
+      } else {
+        note(std::string("get_into ") + key + " cap " + std::to_string(cap) + " err " +
+             err(into.error()));
+      }
+    }
+    auto got = co_await client.get(key);
+    note(std::string("get ") + key + " " +
+         (got.ok() ? "ok flags " + std::to_string(got->flags) + " " + str(got->data)
+                   : "err " + err(got.error())));
+  }
+
+  const std::vector<std::string> keys{"small", "big", "absent", "big"};
+  auto multi = co_await client.mget(keys);
+  EXPECT_TRUE(multi.ok());
+  if (multi.ok()) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const auto& v = (*multi)[i];
+      note("mget " + keys[i] + " " +
+           (v ? "hit flags " + std::to_string(v->flags) + " " + str(v->data) : "miss"));
+    }
+  }
+
+  EXPECT_TRUE((co_await client.append("big", val("!"))).ok());
+  auto n = co_await client.incr("small", 1);
+  note("incr small " + (n.ok() ? std::to_string(*n) : "err " + err(n.error())));
+  auto grown = co_await client.get("big");
+  note("get big after append " +
+       (grown.ok() ? std::to_string(grown->data.size()) + " " + str(grown->data).substr(8180)
+                   : "err " + err(grown.error())));
+}
+
+TEST(EndToEnd, EveryClientModeGivesTheSameReplies) {
+  const ClientBehavior::Mode modes[] = {ClientBehavior::Mode::rpc,
+                                        ClientBehavior::Mode::onesided_get,
+                                        ClientBehavior::Mode::rfp};
+  auto counter = [](const char* name) { return obs::registry().counter(name).value(); };
+  std::vector<std::string> logs;
+  for (const auto mode : modes) {
+    const std::uint64_t rfp_ops = counter("mc.rfp.ops");
+    const std::uint64_t rfp_falls = counter("mc.rfp.fallbacks");
+    const std::uint64_t reads = counter("mc.oneside.reads");
+    const std::uint64_t read_falls = counter("mc.oneside.fallbacks");
+    ModeBed bed(mode);
+    bool done = false;
+    std::string log;
+    bed.run([](Client& client, bool* fin, std::string* out) -> Task<> {
+      co_await exercise_full_api(client, fin);
+      co_await exercise_bypass_legs(client, out);
+    }(*bed.client, &done, &log));
+    EXPECT_TRUE(done) << "mode " << static_cast<int>(mode);
+    logs.push_back(std::move(log));
+    // Each bypass both served ops and fell back to RPC.
+    if (mode == ClientBehavior::Mode::rfp) {
+      EXPECT_GT(counter("mc.rfp.ops") - rfp_ops, counter("mc.rfp.fallbacks") - rfp_falls);
+      EXPECT_GT(counter("mc.rfp.fallbacks") - rfp_falls, 0u);
+    } else if (mode == ClientBehavior::Mode::onesided_get) {
+      EXPECT_GT(counter("mc.oneside.reads") - reads, counter("mc.oneside.fallbacks") - read_falls);
+      EXPECT_GT(counter("mc.oneside.fallbacks") - read_falls, 0u);
+    }
+  }
+  EXPECT_NE(logs[0].find("get_into small cap 4 err " +
+                         std::to_string(static_cast<int>(Errc::too_large))),
+            std::string::npos)
+      << logs[0];
+  for (std::size_t i = 1; i < logs.size(); ++i) {
+    EXPECT_EQ(logs[i], logs[0]) << "mode " << i << " disagrees with rpc";
+  }
+}
+
+TEST(EndToEnd, MalformedMgetChunkFailsTheRequest) {
+  // A raw request handler answers every mget with a chunk whose record
+  // promises more value bytes than the reply carries. The client must
+  // fail the request, not report a hit with a stale value.
+  TestBed bed;
+  bed.server_ucr.register_handler(
+      ucrp::kMsgRequest,
+      {.on_complete = [&bed](ucr::Endpoint& ep, std::span<const std::byte> header,
+                             std::span<std::byte>) {
+        const auto req = ucrp::RequestHeader::decode(header.data());
+        if (req.op != ucrp::Op::mget) return;
+        std::byte reply[ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize +
+                        ucrp::MgetRecord::kSize];
+        ucrp::ResponseHeader resp;
+        resp.status = ucrp::RStatus::value;
+        resp.req_id = req.req_id;
+        resp.encode(reply);
+        ucrp::MgetChunkHeader chunk;
+        chunk.record_count = 1;
+        chunk.total_chunks = 1;
+        chunk.total_keys = 1;
+        chunk.encode(reply + ucrp::ResponseHeader::kSize);
+        ucrp::MgetRecord rec;
+        rec.status = ucrp::RStatus::value;
+        rec.value_len = 100;
+        rec.encode(reply + ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize);
+        const std::string carried = "only ten b";
+        (void)bed.server_ucr.send_message(ep, ucrp::kMsgResponse, reply, val(carried), nullptr,
+                                          ucr::CounterRef{req.reply_counter}, nullptr);
+      }});
+  auto client = bed.make_ucr_client();
+  bool done = false;
+  bed.run([](Client& cli, bool& fin) -> Task<> {
+    EXPECT_TRUE((co_await cli.connect_all()).ok());
+    const std::string_view keys[] = {"k"};
+    MgetSlot slots[1];
+    auto st = co_await cli.mget_into(keys, slots);
+    EXPECT_FALSE(st.ok());
+    if (!st.ok()) {
+      EXPECT_EQ(st.error(), Errc::protocol_error);
+    }
+    EXPECT_FALSE(slots[0].hit);
+    fin = true;
+  }(*client, done));
   EXPECT_TRUE(done);
 }
 

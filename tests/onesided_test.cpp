@@ -62,7 +62,7 @@ struct OneSidedWorld {
     server.attach_ucr_frontend(server_ucr);
     publisher = std::make_unique<onesided::Publisher>(server_ucr, server_host,
                                                       server.store(), pub_cfg);
-    reader_behavior.onesided_get = true;
+    reader_behavior.mode = mc::ClientBehavior::Mode::onesided_get;
     reader = std::make_unique<mc::Client>(sched, reader_host, reader_behavior);
     reader->add_server_ucr(reader_ucr, server_ucr.addr(), 11211);
     writer = std::make_unique<mc::Client>(sched, writer_host, mc::ClientBehavior{});

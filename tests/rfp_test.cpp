@@ -5,7 +5,8 @@
 // rings, slot-epoch reuse (wrap-around without clearing writes), the
 // ring-full / oversize / reply-overflow backpressure ladders into classic
 // RPC, torn-frame handling on both sides of the fabric, lost-slot
-// reclamation, and — the governing invariant, inherited from the
+// reclamation, at-most-once for non-idempotent ops whose ring response
+// times out, and — the governing invariant, inherited from the
 // one-sided suite — that under scripted link loss an RFP client never
 // surfaces a torn value.
 #include <gtest/gtest.h>
@@ -412,6 +413,41 @@ TEST(Rfp, OversizeRequestsAndOverflowingRepliesFallBackToRpc) {
 
   EXPECT_GT(metric("mc.rfp.oversize") - over0, 0u);
   EXPECT_GE(metric("mc.rfp.fallbacks") - falls0, 2u);
+}
+
+// ------------------------------------------- at-most-once on the ring ----
+
+// An incr whose ring response outlives op_timeout has already been
+// delivered: the server applies the quarantined request when it lands.
+// Re-running it over RPC would apply it twice, so the client must return
+// the ring's error instead, and the counter must move exactly once.
+TEST(Rfp, TimedOutRingIncrIsNotReRunOverRpc) {
+  mc::ClientBehavior behavior;
+  behavior.op_timeout = 300_us;
+  RfpWorld w(behavior);
+
+  w.drive([](RfpWorld& wk) -> Task<> {
+    EXPECT_TRUE((co_await wk.client->connect_all()).ok());
+    EXPECT_TRUE((co_await wk.client->set("ctr", bytes_view("0"))).ok());
+
+    // 250 us each way outlasts the 300 us op timeout; the delay clears
+    // before the timeout fires, so a re-issue would go through at once.
+    const sim::Time t0 = wk.sched.now();
+    wk.fabric.faults().schedule({
+        {t0, {.kind = sim::Fault::Kind::delay, .a = 1, .b = 0, .extra_delay = 250_us}},
+        {t0 + 290_us, {.kind = sim::Fault::Kind::delay, .a = 1, .b = 0, .extra_delay = 0}},
+    });
+    auto bumped = co_await wk.client->incr("ctr", 1);
+    EXPECT_FALSE(bumped.ok()) << "incr reported " << (bumped.ok() ? *bumped : 0);
+
+    co_await wk.sched.delay(500_us);  // let the quarantined request land
+    auto got = co_await wk.client->get("ctr");
+    EXPECT_TRUE(got.ok());
+    if (got.ok()) {
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(got->data.data()), got->data.size()),
+                "1");
+    }
+  }(w));
 }
 
 // ----------------------------------------------------- torn frames ----
