@@ -29,12 +29,9 @@ std::uint32_t hash_fnv1a_32(std::string_view data) {
 }
 
 std::uint64_t hash_fnv1a_64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  Fnv1a64 h;
+  h.mix(std::as_bytes(std::span(data)));
+  return h.value();
 }
 
 namespace {

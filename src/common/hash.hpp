@@ -9,9 +9,12 @@
 // memcached 1.4.x did by default.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string_view>
+#include <type_traits>
 
 namespace rmc {
 
@@ -20,6 +23,29 @@ std::uint32_t hash_one_at_a_time(std::string_view data);
 
 /// FNV-1a, 32-bit.
 std::uint32_t hash_fnv1a_32(std::string_view data);
+
+/// Incremental FNV-1a, 64-bit, over arbitrary bytes: record and frame
+/// checksums fold several disjoint fields into one value.
+class Fnv1a64 {
+ public:
+  void mix(std::span<const std::byte> bytes) {
+    for (std::byte b : bytes) {
+      state_ ^= static_cast<std::uint64_t>(b);
+      state_ *= 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void mix_value(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::byte raw[sizeof(T)];
+    std::memcpy(raw, &v, sizeof(T));
+    mix({raw, sizeof(T)});
+  }
+  std::uint64_t value() const { return state_; }
+
+ private:
+  std::uint64_t state_ = 0xcbf29ce484222325ull;
+};
 
 /// FNV-1a, 64-bit.
 std::uint64_t hash_fnv1a_64(std::string_view data);

@@ -1,0 +1,126 @@
+// rmclint:hotpath — the one store executor behind every wire
+//
+// The command core. Every frontend — text and binary sockets, UCR active
+// messages and the RFP ring — decodes its request into a Command, runs it
+// through execute() against the shared ItemStore (§V-A: one server, one
+// store, for sockets and UCR clients alike), and encodes the Outcome with
+// its own column of the outcome table below. Wire quirks (binary add/
+// replace statuses, binary incr seeding, the ring refusing admin ops)
+// stay one line each in their frontend.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <string_view>
+
+#include "memcached/binary.hpp"
+#include "memcached/protocol.hpp"
+#include "simnet/time.hpp"
+
+namespace rmc::mc {
+
+class ItemStore;
+struct ItemHeader;
+
+namespace ucrp {  // ucr_proto.hpp, which includes this header for Op
+enum class RStatus : std::uint8_t;
+struct ResponseHeader;
+}  // namespace ucrp
+
+/// The core's command set. The byte values are the UCR wire's op byte
+/// (ucrp::Op is this enum), so never reorder them.
+enum class Op : std::uint8_t {
+  get,
+  gets,
+  set,
+  add,
+  replace,
+  append,
+  prepend,
+  cas,
+  del,
+  incr,
+  decr,
+  touch,
+  flush_all,
+  version,
+  /// True server-side multiget (UCR and ring only): the request carries a
+  /// packed key block (ucrp::pack_mget_key) and the wire's own packer, never
+  /// execute(), answers with chunked responses. Records always carry the
+  /// CAS id, so there is no separate mgets variant.
+  mget,
+};
+
+/// The outcome table: one row per outcome, one column per wire.
+///   ROW(code, text reply type, binary BStatus, UCR RStatus, text message)
+// clang-format off
+#define RMC_MC_OUTCOMES(ROW)                                                                       \
+  ROW(ok,            ok,           ok,                ok,           "")                            \
+  ROW(value,         values,       ok,                value,        "")                            \
+  ROW(stored,        stored,       ok,                stored,       "")                            \
+  ROW(deleted,       deleted,      ok,                deleted,      "")                            \
+  ROW(touched,       touched,      ok,                touched,      "")                            \
+  ROW(number,        number,       ok,                number,       "")                            \
+  ROW(not_stored,    not_stored,   not_stored,        not_stored,   "")                            \
+  ROW(exists,        exists,       key_exists,        exists,       "")                            \
+  ROW(not_found,     not_found,    key_not_found,     not_found,    "")                            \
+  ROW(non_numeric,   client_error, delta_badval,      client_error,                                \
+      "cannot increment or decrement non-numeric value")                                           \
+  ROW(bad_format,    client_error, invalid_arguments, server_error, "bad command line format")     \
+  ROW(too_large,     server_error, value_too_large,   server_error, "object too large for cache")  \
+  ROW(out_of_memory, server_error, out_of_memory,     server_error,                                \
+      "out of memory storing object")                                                              \
+  ROW(unsupported,   error,        unknown_command,   client_error, "")
+// clang-format on
+
+enum class Code : std::uint8_t {
+#define RMC_MC_OUTCOME_CODE(code, text, binary, ucr, message) code,
+  RMC_MC_OUTCOMES(RMC_MC_OUTCOME_CODE)
+#undef RMC_MC_OUTCOME_CODE
+};
+
+/// One row of the outcome table.
+struct OutcomeRow {
+  proto::Response::Type text;
+  std::string_view message;  ///< text error message (empty for the rest)
+  bproto::BStatus binary;
+  ucrp::RStatus ucr;
+};
+const OutcomeRow& outcome_row(Code code);
+
+/// A decoded request, whichever wire it came from.
+struct Command {
+  Op op = Op::get;
+  std::string_view key{};
+  std::span<const std::byte> value{};
+  std::uint32_t flags = 0;
+  std::uint32_t exptime = 0;  ///< storage/touch expiry; flush_all delay (s)
+  std::uint64_t cas = 0;
+  std::uint64_t delta = 0;  ///< incr/decr amount
+  /// UCR storage: the item whose value already landed in its slab chunk
+  /// (§V-B). execute() commits it (set) or consumes it as the value.
+  ItemHeader* prepared = nullptr;
+};
+
+struct Outcome {
+  Code code = Code::ok;
+  ItemHeader* item = nullptr;  ///< value: the hit, pinned; the caller releases it
+  std::uint64_t number = 0;    ///< number: the incr/decr result
+  std::uint64_t cas = 0;       ///< stored: the cas id of the stored item
+};
+
+/// The UCR reply header for `out` (UCR frontend and RFP ring alike): the
+/// table's status, the incr/decr number, and a hit's flags and cas.
+ucrp::ResponseHeader ucr_reply_header(const Outcome& out, std::uint64_t req_id);
+
+/// The cache clock at sim time `now`: whole seconds, starting at 1.
+inline std::uint32_t cache_clock(sim::Time now) {
+  return static_cast<std::uint32_t>(1 + now / kNsPerSec);
+}
+
+/// Run one command against `store` at sim time `now` (the store's clock
+/// is advanced first). flush_all (its delay needs the server's timers) and
+/// mget (a packer's job) answer `unsupported`.
+Outcome execute(ItemStore& store, sim::Time now, const Command& cmd);
+
+}  // namespace rmc::mc

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -26,6 +28,59 @@ const std::uint16_t kProfExecute =
     obs::profiler().register_scope("prof.mc.server.execute", obs::ScopeKind::payload);
 const std::uint16_t kProfFormat =
     obs::profiler().register_scope("prof.mc.server.format", obs::ScopeKind::payload);
+
+constexpr std::string_view kVersion = "1.4.5-rmc";
+
+/// Text command -> core op. stats and quit leave the store alone, so they
+/// run as version (a no-op that only advances the clock).
+Op text_op(proto::Command command) {
+  switch (command) {
+    case proto::Command::get: return Op::get;
+    case proto::Command::gets: return Op::gets;
+    case proto::Command::set: return Op::set;
+    case proto::Command::add: return Op::add;
+    case proto::Command::replace: return Op::replace;
+    case proto::Command::append: return Op::append;
+    case proto::Command::prepend: return Op::prepend;
+    case proto::Command::cas: return Op::cas;
+    case proto::Command::del: return Op::del;
+    case proto::Command::incr: return Op::incr;
+    case proto::Command::decr: return Op::decr;
+    case proto::Command::touch: return Op::touch;
+    case proto::Command::flush_all: return Op::flush_all;
+    case proto::Command::stats:
+    case proto::Command::version:
+    case proto::Command::quit: break;
+  }
+  return Op::version;
+}
+
+/// Binary opcode -> core op. A non-zero cas turns set/add/replace into a
+/// cas command; noop and stat run as version. Unknown opcodes: nullopt.
+std::optional<Op> binary_op(const bproto::Request& req) {
+  using bproto::Opcode;
+  switch (req.opcode) {
+    case Opcode::get:
+    case Opcode::getq:
+    case Opcode::getk:
+    case Opcode::getkq: return Op::get;
+    case Opcode::set: return req.cas != 0 ? Op::cas : Op::set;
+    case Opcode::add: return req.cas != 0 ? Op::cas : Op::add;
+    case Opcode::replace: return req.cas != 0 ? Op::cas : Op::replace;
+    case Opcode::append: return Op::append;
+    case Opcode::prepend: return Op::prepend;
+    case Opcode::del: return Op::del;
+    case Opcode::increment: return Op::incr;
+    case Opcode::decrement: return Op::decr;
+    case Opcode::touch: return Op::touch;
+    case Opcode::flush: return Op::flush_all;
+    case Opcode::version:
+    case Opcode::noop:
+    case Opcode::stat: return Op::version;
+    case Opcode::quit: break;
+  }
+  return std::nullopt;
+}
 }  // namespace
 
 /// Per-UCR-connection state hung off the endpoint's user_data: items
@@ -81,8 +136,13 @@ void Server::schedule_flush(std::uint32_t exptime_s) {
   });
 }
 
-void Server::advance_clock() {
-  store_.set_clock(static_cast<std::uint32_t>(1 + sched_->now() / kNsPerSec));
+Outcome Server::serve(const Command& cmd) {
+  // flush_all's delay needs the server's timers, so it stops here.
+  if (cmd.op == Op::flush_all) {
+    schedule_flush(cmd.exptime);
+    return {};
+  }
+  return execute(store_, sched_->now(), cmd);
 }
 
 void Server::enqueue_work(std::size_t index, Work work) {
@@ -264,127 +324,21 @@ sim::Task<> Server::worker_loop(std::size_t index) {
   }
 }
 
-proto::Response Server::execute(const proto::Request& request) {
-  advance_clock();
-  using Type = proto::Response::Type;
-  proto::Response resp;
-
-  switch (request.command) {
-    case proto::Command::get:
-    case proto::Command::gets: {
-      resp.type = Type::values;
-      for (std::size_t i = 0; i < request.key_count(); ++i) {
-        const std::string_view key = request.key_at(i);
-        ItemHeader* item = store_.get(key);
-        if (!item) continue;
-        proto::Value v;
-        v.key.assign(key.data(), key.size());
-        v.flags = item->flags;
-        v.cas = item->cas;
-        v.data.assign(item->value().begin(), item->value().end());
-        // rmclint:allow(zeroalloc): socket-transport response assembly — the measured-overhead baseline, off the PR 2 UCR budget
-        resp.values.push_back(std::move(v));
-      }
-      return resp;
-    }
-    case proto::Command::set:
-    case proto::Command::add:
-    case proto::Command::replace:
-    case proto::Command::append:
-    case proto::Command::prepend:
-    case proto::Command::cas: {
-      SetMode mode = SetMode::set;
-      switch (request.command) {
-        case proto::Command::add: mode = SetMode::add; break;
-        case proto::Command::replace: mode = SetMode::replace; break;
-        case proto::Command::append: mode = SetMode::append; break;
-        case proto::Command::prepend: mode = SetMode::prepend; break;
-        case proto::Command::cas: mode = SetMode::cas; break;
-        default: break;
-      }
-      auto stored = store_.store(mode, request.key(), request.data, request.flags,
-                                 request.exptime, request.cas_unique);
-      if (stored.ok()) {
-        resp.type = Type::stored;
-      } else {
-        switch (stored.error()) {
-          case Errc::not_stored: resp.type = Type::not_stored; break;
-          case Errc::exists: resp.type = Type::exists; break;
-          case Errc::not_found: resp.type = Type::not_found; break;
-          case Errc::too_large:
-            resp.type = Type::server_error;
-            resp.message = "object too large for cache";
-            break;
-          case Errc::invalid_argument:
-            resp.type = Type::client_error;
-            resp.message = "bad command line format";
-            break;
-          default:
-            resp.type = Type::server_error;
-            resp.message = "out of memory storing object";
-            break;
-        }
-      }
-      return resp;
-    }
-    case proto::Command::del:
-      resp.type = store_.del(request.key()) ? Type::deleted : Type::not_found;
-      return resp;
-    case proto::Command::incr:
-    case proto::Command::decr: {
-      auto result =
-          store_.arith(request.key(), request.delta, request.command == proto::Command::decr);
-      if (result.ok()) {
-        resp.type = Type::number;
-        resp.number = *result;
-      } else if (result.error() == Errc::not_found) {
-        resp.type = Type::not_found;
-      } else {
-        resp.type = Type::client_error;
-        resp.message = "cannot increment or decrement non-numeric value";
-      }
-      return resp;
-    }
-    case proto::Command::touch:
-      resp.type = store_.touch(request.key(), request.exptime) ? Type::touched : Type::not_found;
-      return resp;
-    case proto::Command::flush_all:
-      schedule_flush(request.exptime);
-      resp.type = Type::ok;
-      return resp;
-    case proto::Command::stats:
-      resp.type = Type::stats;
-      resp.message = render_stats();
-      return resp;
-    case proto::Command::version:
-      resp.type = Type::version;
-      resp.message = "1.4.5-rmc";
-      return resp;
-    case proto::Command::quit:
-      resp.type = Type::ok;
-      return resp;
-  }
-  resp.type = Type::error;
-  return resp;
-}
-
 sim::Task<> Server::process_socket(Work& work, WorkerScratch& scratch) {
   const proto::Request& request = work.request;
 
   if (request.command == proto::Command::get || request.command == proto::Command::gets) {
-    // GET fast path: pin matching items, render VALUE lines straight from
-    // the slab into the worker's reusable scratch buffer — no Response, no
-    // per-request value copies on the heap. Charged costs and emitted
-    // bytes are identical to the generic path.
+    // GET: one get command per key pins each hit; VALUE lines render
+    // straight from the slab into the worker's reusable scratch buffer —
+    // no Response, no per-request value copies on the heap.
     const sim::Time exec_start = sched_->now();
     co_await host_->cpu().consume(config_.costs.op_base_ns);
-    advance_clock();
     std::size_t value_bytes = 0;
     {
       obs::ProfScope prof{kProfExecute};
       scratch.items.clear();
       for (std::size_t i = 0; i < request.key_count(); ++i) {
-        ItemHeader* item = store_.get_pinned(request.key_at(i));
+        ItemHeader* item = serve({.op = Op::get, .key = request.key_at(i)}).item;
         if (!item) continue;
         // rmclint:allow(zeroalloc): reusable per-worker scratch; capacity reaches its high-water mark at warmup
         scratch.items.push_back(item);
@@ -436,7 +390,24 @@ sim::Task<> Server::process_socket(Work& work, WorkerScratch& scratch) {
   proto::Response resp;
   {
     obs::ProfScope prof{kProfExecute};
-    resp = execute(request);
+    const Outcome out = serve({.op = text_op(request.command),
+                               .key = request.key(),
+                               .value = request.data,
+                               .flags = request.flags,
+                               .exptime = request.exptime,
+                               .cas = request.cas_unique,
+                               .delta = request.delta});
+    const OutcomeRow& row = outcome_row(out.code);
+    resp.type = row.text;
+    resp.message = row.message;
+    resp.number = out.number;
+    if (request.command == proto::Command::version) {
+      resp.type = proto::Response::Type::version;
+      resp.message = kVersion;
+    } else if (request.command == proto::Command::stats) {
+      resp.type = proto::Response::Type::stats;
+      resp.message = render_stats();
+    }
   }
   stage_execute_->record(sched_->now() - exec_start);
 
@@ -446,25 +417,18 @@ sim::Task<> Server::process_socket(Work& work, WorkerScratch& scratch) {
   }
   if (request.noreply) co_return;
 
-  std::size_t value_bytes = 0;
-  for (const auto& v : resp.values) value_bytes += v.data.size();
+  // Non-GET replies carry no values: the format charge is the base cost.
   const sim::Time format_start = sched_->now();
-  co_await host_->cpu().consume(
-      config_.costs.format_base_ns +
-      static_cast<sim::Time>(static_cast<double>(value_bytes) *
-                             config_.costs.value_copy_ns_per_byte));
-
-  const bool with_cas = request.command == proto::Command::gets;
+  co_await host_->cpu().consume(config_.costs.format_base_ns);
   {
     obs::ProfScope prof{kProfFormat};
     scratch.out.clear();
-    proto::encode_response_into(resp, with_cas, scratch.out);
+    proto::encode_response_into(resp, false, scratch.out);
   }
   stage_format_->record(sched_->now() - format_start);
   bytes_written_ += scratch.out.size();
   (void)co_await work.socket->send(scratch.out);
 }
-
 
 sim::Task<> Server::process_binary(Work& work) {
   using bproto::BStatus;
@@ -475,132 +439,62 @@ sim::Task<> Server::process_binary(Work& work) {
       config_.costs.op_base_ns +
       static_cast<sim::Time>(static_cast<double>(req.value.size()) *
                              config_.costs.value_copy_ns_per_byte));
-  advance_clock();
+  if (req.opcode == Opcode::quit) {
+    work.socket->close();
+    co_return;
+  }
 
   bproto::Response resp;
   resp.opcode = req.opcode;
   resp.opaque = req.opaque;
   bool reply = true;
-
   {
-  obs::ProfScope exec_prof{kProfExecute};
-  switch (req.opcode) {
-    case Opcode::get:
-    case Opcode::getq:
-    case Opcode::getk:
-    case Opcode::getkq: {
-      ItemHeader* item = store_.get(req.key);
-      if (!item) {
-        if (bproto::is_quiet(req.opcode)) {
-          reply = false;  // quiet miss: say nothing (pipelined multiget)
-        } else {
-          resp.status = BStatus::key_not_found;
-        }
-        break;
-      }
-      resp.status = BStatus::ok;
+    obs::ProfScope exec_prof{kProfExecute};
+    const std::optional<Op> op = binary_op(req);
+    Outcome out{.code = Code::unsupported};
+    if (op) {
+      out = serve({.op = *op,
+                   .key = req.key,
+                   .value = req.value,
+                   .flags = req.flags,
+                   .exptime = req.exptime,
+                   .cas = req.cas,
+                   .delta = req.delta});
+    }
+    const bool arith = op == Op::incr || op == Op::decr;
+    if (arith && out.code == Code::not_found && req.arith_exptime != 0xffffffffu) {
+      // Binary-only semantics: an incr/decr miss seeds the counter with `initial`.
+      char text[24];
+      const auto seeded = std::to_chars(text, text + sizeof(text), req.initial);
+      (void)serve({.op = Op::set,
+                   .key = req.key,
+                   .value = std::as_bytes(std::span(text, seeded.ptr)),
+                   .exptime = req.arith_exptime});
+      out = {.code = Code::number, .number = req.initial};
+    }
+    resp.status = outcome_row(out.code).binary;
+    // Binary tells add-exists from replace-miss, and answers any failed
+    // append/prepend with not_stored.
+    const bool appends = op == Op::append || op == Op::prepend;
+    if (!appends && out.code == Code::not_stored) {
+      resp.status = req.opcode == Opcode::add ? BStatus::key_exists : BStatus::key_not_found;
+    }
+    if (appends && resp.status != BStatus::ok) resp.status = BStatus::not_stored;
+    // Quiet gets say nothing on a miss (pipelined multiget).
+    reply = !(bproto::is_quiet(req.opcode) && out.code == Code::not_found);
+    resp.number = out.number;
+    resp.cas = out.cas;
+    if (ItemHeader* item = out.item) {
       resp.flags = item->flags;
       resp.cas = item->cas;
       resp.value.assign(item->value().begin(), item->value().end());
       if (req.opcode == Opcode::getk || req.opcode == Opcode::getkq) resp.key = req.key;
-      break;
+      store_.release(item);
     }
-    case Opcode::set:
-    case Opcode::add:
-    case Opcode::replace: {
-      SetMode mode = SetMode::set;
-      if (req.opcode == Opcode::add) mode = SetMode::add;
-      if (req.opcode == Opcode::replace) mode = SetMode::replace;
-      // A non-zero CAS on a binary set means compare-and-swap.
-      if (req.cas != 0) mode = SetMode::cas;
-      auto stored = store_.store(mode, req.key, req.value, req.flags, req.exptime, req.cas);
-      if (stored.ok()) {
-        resp.status = BStatus::ok;
-        resp.cas = (*stored)->cas;
-      } else {
-        switch (stored.error()) {
-          case Errc::not_stored:
-            // Binary protocol distinguishes add-exists from replace-miss.
-            resp.status = req.opcode == Opcode::add ? BStatus::key_exists
-                                                    : BStatus::key_not_found;
-            break;
-          case Errc::exists: resp.status = BStatus::key_exists; break;
-          case Errc::not_found: resp.status = BStatus::key_not_found; break;
-          case Errc::too_large: resp.status = BStatus::value_too_large; break;
-          case Errc::invalid_argument: resp.status = BStatus::invalid_arguments; break;
-          default: resp.status = BStatus::out_of_memory; break;
-        }
-      }
-      break;
+    if (req.opcode == Opcode::version) {
+      const auto version = std::as_bytes(std::span(kVersion.data(), kVersion.size()));
+      resp.value.assign(version.begin(), version.end());
     }
-    case Opcode::append:
-    case Opcode::prepend: {
-      const SetMode mode = req.opcode == Opcode::append ? SetMode::append : SetMode::prepend;
-      auto stored = store_.store(mode, req.key, req.value, 0, 0);
-      if (stored.ok()) {
-        resp.status = BStatus::ok;
-        resp.cas = (*stored)->cas;
-      } else {
-        resp.status = BStatus::not_stored;
-      }
-      break;
-    }
-    case Opcode::del:
-      resp.status = store_.del(req.key) ? BStatus::ok : BStatus::key_not_found;
-      break;
-    case Opcode::increment:
-    case Opcode::decrement: {
-      auto result = store_.arith(req.key, req.delta, req.opcode == Opcode::decrement);
-      if (result.ok()) {
-        resp.status = BStatus::ok;
-        resp.number = *result;
-      } else if (result.error() == Errc::not_found) {
-        if (req.arith_exptime != 0xffffffffu) {
-          // Binary-only semantics: seed the counter with `initial`.
-          // rmclint:allow(zeroalloc): binary incr-miss seeding path (rare); not the steady-state GET path
-          const std::string text = std::to_string(req.initial);
-          (void)store_.store(SetMode::set, req.key,
-                             {reinterpret_cast<const std::byte*>(text.data()), text.size()},
-                             0, req.arith_exptime);
-          resp.status = BStatus::ok;
-          resp.number = req.initial;
-        } else {
-          resp.status = BStatus::key_not_found;
-        }
-      } else {
-        resp.status = BStatus::delta_badval;
-      }
-      break;
-    }
-    case Opcode::touch:
-      resp.status =
-          store_.touch(req.key, req.exptime) ? BStatus::ok : BStatus::key_not_found;
-      break;
-    case Opcode::flush:
-      schedule_flush(req.exptime);
-      resp.status = BStatus::ok;
-      break;
-    case Opcode::noop:
-      resp.status = BStatus::ok;
-      break;
-    case Opcode::version: {
-      static constexpr char kVersion[] = "1.4.5-rmc";
-      resp.status = BStatus::ok;
-      resp.value.assign(reinterpret_cast<const std::byte*>(kVersion),
-                        reinterpret_cast<const std::byte*>(kVersion) + sizeof(kVersion) - 1);
-      break;
-    }
-    case Opcode::stat:
-      // Minimal stat support: the empty-key terminator packet.
-      resp.status = BStatus::ok;
-      break;
-    case Opcode::quit:
-      work.socket->close();
-      co_return;
-    default:
-      resp.status = BStatus::unknown_command;
-      break;
-  }
   }
 
   stage_execute_->record(sched_->now() - exec_start);
@@ -631,7 +525,7 @@ void Server::attach_ucr_frontend(ucr::Runtime& runtime) {
              // final slab location of the item (§V-B).
              const auto req = ucrp::RequestHeader::decode(header.data());
              if (!ucrp::is_storage(req.op) || data_len == 0) return {};
-             advance_clock();
+             store_.set_clock(cache_clock(sched_->now()));
              const std::string_view key{
                  reinterpret_cast<const char*>(header.data() + ucrp::RequestHeader::kSize),
                  req.key_len};
@@ -722,6 +616,25 @@ void Server::register_new_slab_pages() {
   }
 }
 
+void Server::ucr_send_error(ucr::Endpoint& ep, ucrp::ResponseHeader header,
+                            std::uint64_t reply_counter) {
+  header.status = ucrp::RStatus::server_error;
+  std::byte hdr[ucrp::ResponseHeader::kSize];
+  header.encode(hdr);
+  (void)ucr_runtime_->send_message(ep, ucrp::kMsgResponse, hdr, {}, nullptr,
+                                   ucr::CounterRef{reply_counter}, nullptr);
+}
+
+void Server::release_when_sent(ItemHeader* item, std::unique_ptr<sim::Counter> done) {
+  sched_->spawn([](ItemStore& store, ItemHeader* pinned,
+                   std::unique_ptr<sim::Counter> sent) -> sim::Task<> {
+    co_await sent->wait_geq(1);
+    // rmclint:allow(coro-lifetime): store_ is a Server member and `pinned` is
+    // refcount-pinned until this release; both outlive the send completion.
+    store.release(pinned);
+  }(store_, item, std::move(done)));
+}
+
 void Server::ucr_reply(ucr::Endpoint& ep, const ucrp::ResponseHeader& header,
                        ItemHeader* pinned_item, std::uint64_t reply_counter) {
   std::byte hdr[ucrp::ResponseHeader::kSize];
@@ -743,14 +656,7 @@ void Server::ucr_reply(ucr::Endpoint& ep, const ucrp::ResponseHeader& header,
           ep, ucrp::kMsgResponse, hdr, data, nullptr, ucr::CounterRef{reply_counter},
           nullptr);
       store_.release(pinned_item);
-      if (!sent.ok()) {
-        ucrp::ResponseHeader err = header;
-        err.status = ucrp::RStatus::server_error;
-        std::byte err_hdr[ucrp::ResponseHeader::kSize];
-        err.encode(err_hdr);
-        (void)ucr_runtime_->send_message(ep, ucrp::kMsgResponse, err_hdr, {}, nullptr,
-                                         ucr::CounterRef{reply_counter}, nullptr);
-      }
+      if (!sent.ok()) ucr_send_error(ep, header, reply_counter);
       return;
     }
     // rmclint:allow(zeroalloc): rendezvous response path (value > eager_limit); the eager GET budget never reaches here
@@ -763,21 +669,10 @@ void Server::ucr_reply(ucr::Endpoint& ep, const ucrp::ResponseHeader& header,
       // answer with an error header instead of leaving the client to time
       // out (§VII UD mode serves small items only).
       store_.release(pinned_item);
-      ucrp::ResponseHeader err = header;
-      err.status = ucrp::RStatus::server_error;
-      std::byte err_hdr[ucrp::ResponseHeader::kSize];
-      err.encode(err_hdr);
-      (void)ucr_runtime_->send_message(ep, ucrp::kMsgResponse, err_hdr, {}, nullptr,
-                                       ucr::CounterRef{reply_counter}, nullptr);
+      ucr_send_error(ep, header, reply_counter);
       return;
     }
-    sched_->spawn([](ItemStore& store, ItemHeader* item,
-                     std::unique_ptr<sim::Counter> done) -> sim::Task<> {
-      co_await done->wait_geq(1);
-      // rmclint:allow(coro-lifetime): store_ is a Server member and `item` is
-      // refcount-pinned until this release; both outlive the send completion.
-      store.release(item);
-    }(store_, pinned_item, std::move(counter)));
+    release_when_sent(pinned_item, std::move(counter));
   } else {
     (void)ucr_runtime_->send_message(ep, ucrp::kMsgResponse, hdr, data, nullptr,
                                      ucr::CounterRef{reply_counter}, nullptr);
@@ -800,7 +695,7 @@ sim::Task<> Server::process_ucr_mget(Work& work, WorkerScratch& scratch) {
   // pays op_base_ns once, exactly like the socket path's multi-key GET.
   const sim::Time exec_start = sched_->now();
   co_await host_->cpu().consume(config_.costs.op_base_ns);
-  advance_clock();
+  store_.set_clock(cache_clock(sched_->now()));
   {
     obs::ProfScope prof{kProfExecute};
     scratch.mget_items.clear();
@@ -921,13 +816,7 @@ sim::Task<> Server::process_ucr_mget(Work& work, WorkerScratch& scratch) {
           failed = true;
           continue;
         }
-        sched_->spawn([](ItemStore& store, ItemHeader* item,
-                         std::unique_ptr<sim::Counter> done) -> sim::Task<> {
-          co_await done->wait_geq(1);
-          // rmclint:allow(coro-lifetime): store_ is a Server member and `item` is
-          // refcount-pinned until this release; both outlive the send completion.
-          store.release(item);
-        }(store_, single, std::move(counter)));
+        release_when_sent(single, std::move(counter));
         continue;
       }
       if (ucr::wire::AmWire::kSize + ho + data_bytes > frame && single != nullptr) {
@@ -963,13 +852,7 @@ sim::Task<> Server::process_ucr_mget(Work& work, WorkerScratch& scratch) {
     if (failed) {
       // Chunks went missing; answer a bare error header (no chunk header)
       // so the client fails the whole request fast instead of timing out.
-      ucrp::ResponseHeader err;
-      err.status = ucrp::RStatus::server_error;
-      err.req_id = req.req_id;
-      std::byte err_hdr[ucrp::ResponseHeader::kSize];
-      err.encode(err_hdr);
-      (void)ucr_runtime_->send_message(ep, ucrp::kMsgResponse, err_hdr, {}, nullptr,
-                                       ucr::CounterRef{req.reply_counter}, nullptr);
+      ucr_send_error(ep, ucrp::ResponseHeader{.req_id = req.req_id}, req.reply_counter);
     }
     scratch.mget_items.clear();
   }
@@ -989,109 +872,29 @@ sim::Task<> Server::process_ucr(Work& work, WorkerScratch& scratch) {
   stage_parse_->record(sched_->now() - parse_start);
   const sim::Time exec_start = sched_->now();
   co_await host_->cpu().consume(config_.costs.op_base_ns);
-  advance_clock();
 
   const ucrp::RequestHeader& req = work.ucr_header;
-  ucrp::ResponseHeader resp;
-  resp.req_id = req.req_id;
-  ItemHeader* pinned = nullptr;
-
+  Outcome out;
   {
-  obs::ProfScope exec_prof{kProfExecute};
-  switch (req.op) {
-    case ucrp::Op::get:
-    case ucrp::Op::gets: {
-      pinned = store_.get_pinned(work.key());
-      if (pinned) {
-        resp.status = ucrp::RStatus::value;
-        resp.flags = pinned->flags;
-        resp.cas = pinned->cas;
-      } else {
-        resp.status = ucrp::RStatus::not_found;
-      }
-      break;
-    }
-    case ucrp::Op::set:
-    case ucrp::Op::add:
-    case ucrp::Op::replace:
-    case ucrp::Op::append:
-    case ucrp::Op::prepend:
-    case ucrp::Op::cas: {
-      if (work.alloc_failed) {
-        // The value never had a home (too large / out of memory).
-        resp.status = ucrp::RStatus::server_error;
-        break;
-      }
-      if (work.prepared_item && req.op == ucrp::Op::set) {
-        // Fast path: the value already sits in its slab chunk; link it.
-        store_.commit_item(work.prepared_item);
-        resp.status = ucrp::RStatus::stored;
-        break;
-      }
-      SetMode mode = SetMode::set;
-      switch (req.op) {
-        case ucrp::Op::add: mode = SetMode::add; break;
-        case ucrp::Op::replace: mode = SetMode::replace; break;
-        case ucrp::Op::append: mode = SetMode::append; break;
-        case ucrp::Op::prepend: mode = SetMode::prepend; break;
-        case ucrp::Op::cas: mode = SetMode::cas; break;
-        default: break;
-      }
-      std::span<const std::byte> value{};
-      if (work.prepared_item) value = work.prepared_item->value();
-      auto stored = store_.store(mode, work.key(), value, req.flags, req.exptime, req.cas);
-      if (work.prepared_item) store_.abandon_item(work.prepared_item);
-      if (stored.ok()) {
-        resp.status = ucrp::RStatus::stored;
-      } else {
-        switch (stored.error()) {
-          case Errc::not_stored: resp.status = ucrp::RStatus::not_stored; break;
-          case Errc::exists: resp.status = ucrp::RStatus::exists; break;
-          case Errc::not_found: resp.status = ucrp::RStatus::not_found; break;
-          default: resp.status = ucrp::RStatus::server_error; break;
-        }
-      }
-      break;
-    }
-    case ucrp::Op::del:
-      resp.status = store_.del(work.key()) ? ucrp::RStatus::deleted : ucrp::RStatus::not_found;
-      break;
-    case ucrp::Op::incr:
-    case ucrp::Op::decr: {
-      auto result = store_.arith(work.key(), req.delta, req.op == ucrp::Op::decr);
-      if (result.ok()) {
-        resp.status = ucrp::RStatus::number;
-        resp.number = *result;
-      } else if (result.error() == Errc::not_found) {
-        resp.status = ucrp::RStatus::not_found;
-      } else {
-        resp.status = ucrp::RStatus::client_error;
-      }
-      break;
-    }
-    case ucrp::Op::touch:
-      resp.status =
-          store_.touch(work.key(), req.exptime) ? ucrp::RStatus::touched : ucrp::RStatus::not_found;
-      break;
-    case ucrp::Op::flush_all:
-      schedule_flush(static_cast<std::uint32_t>(req.delta));
-      resp.status = ucrp::RStatus::ok;
-      break;
-    case ucrp::Op::version:
-      resp.status = ucrp::RStatus::ok;
-      break;
-    case ucrp::Op::mget:
-      // Handled by process_ucr_mget before this switch is reached.
-      resp.status = ucrp::RStatus::client_error;
-      break;
+    obs::ProfScope exec_prof{kProfExecute};
+    // A storage value that never had a home (too large / out of memory).
+    out = work.alloc_failed
+              ? Outcome{.code = Code::out_of_memory}
+              : serve({.op = req.op,
+                       .key = work.key(),
+                       .flags = req.flags,
+                       .exptime = req.op == Op::flush_all ? static_cast<std::uint32_t>(req.delta)
+                                                          : req.exptime,
+                       .cas = req.cas,
+                       .delta = req.delta,
+                       .prepared = work.prepared_item});
   }
-  }
-
   stage_execute_->record(sched_->now() - exec_start);
+
   const sim::Time format_start = sched_->now();
   {
     obs::ProfScope prof{kProfFormat};
-    ucr_reply(*work.ep, resp, pinned, req.reply_counter);
+    ucr_reply(*work.ep, ucr_reply_header(out, req.req_id), out.item, req.reply_counter);
   }
   stage_format_->record(sched_->now() - format_start);
   co_return;

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "memcached/binary.hpp"
+#include "memcached/command.hpp"
 #include "memcached/protocol.hpp"
 #include "memcached/store.hpp"
 #include "memcached/ucr_proto.hpp"
@@ -150,14 +151,20 @@ class Server {
   /// True server-side multiget (Op::mget): one hashtable pass pinning
   /// every hit, then a chunked scatter-gather reply built in `scratch`.
   sim::Task<> process_ucr_mget(Work& work, WorkerScratch& scratch);
-  proto::Response execute(const proto::Request& request);
-  void advance_clock();
+  /// Every frontend's one way into the store: mc::execute, except that
+  /// flush_all arms this server's (cancel-safe, delayable) flush.
+  Outcome serve(const Command& cmd);
   void register_new_slab_pages();
 
   /// Send a UCR response; pins `item` (may be null) until the value has
   /// left the building.
   void ucr_reply(ucr::Endpoint& ep, const ucrp::ResponseHeader& header,
                  ItemHeader* pinned_item, std::uint64_t reply_counter);
+  /// Send `header` as a bare server_error reply (no value, no chunks).
+  void ucr_send_error(ucr::Endpoint& ep, ucrp::ResponseHeader header,
+                      std::uint64_t reply_counter);
+  /// Unpin `item` once the rendezvous send counted by `done` completes.
+  void release_when_sent(ItemHeader* item, std::unique_ptr<sim::Counter> done);
 
   sim::Scheduler* sched_;
   sim::Host* host_;

@@ -13,32 +13,15 @@
 #include <cstring>
 #include <string_view>
 
+#include "memcached/command.hpp"
+
 namespace rmc::mc::ucrp {
 
 inline constexpr std::uint16_t kMsgRequest = 0x6d01;
 inline constexpr std::uint16_t kMsgResponse = 0x6d02;
 
-enum class Op : std::uint8_t {
-  get,
-  gets,
-  set,
-  add,
-  replace,
-  append,
-  prepend,
-  cas,
-  del,
-  incr,
-  decr,
-  touch,
-  flush_all,
-  version,
-  /// True server-side multiget: the request carries a packed key block
-  /// (see pack_mget_key), the server answers with one or more chunked
-  /// responses (MgetChunkHeader + MgetRecords + gathered values). Records
-  /// always carry the CAS id, so there is no separate mgets variant.
-  mget,
-};
+/// The command core's op enum (command.hpp) is the wire's op byte.
+using Op = mc::Op;
 
 inline bool is_storage(Op op) {
   switch (op) {

@@ -25,35 +25,13 @@
 #include <span>
 #include <string_view>
 
+#include "common/hash.hpp"
+
 namespace rmc::onesided {
 
 /// Bootstrap AM ids (one RPC per client to learn the descriptor).
 inline constexpr std::uint16_t kMsgBootstrap = 0x6d10;
 inline constexpr std::uint16_t kMsgBootstrapResp = 0x6d11;
-
-/// FNV-1a over arbitrary bytes, used for record checksums. (The common/
-/// hash.hpp variant takes a string_view; records are byte spans and the
-/// checksum folds several disjoint fields, so keep an incremental one.)
-class Fnv1a64 {
- public:
-  void mix(std::span<const std::byte> bytes) {
-    for (std::byte b : bytes) {
-      state_ ^= static_cast<std::uint64_t>(b);
-      state_ *= 0x100000001b3ull;
-    }
-  }
-  template <typename T>
-  void mix_value(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::byte raw[sizeof(T)];
-    std::memcpy(raw, &v, sizeof(T));
-    mix({raw, sizeof(T)});
-  }
-  std::uint64_t value() const { return state_; }
-
- private:
-  std::uint64_t state_ = 0xcbf29ce484222325ull;
-};
 
 /// One way of a bucket line (32 bytes, so a 4-way bucket is one 128 B
 /// read). `version` is the slot epoch the entry was published under; a

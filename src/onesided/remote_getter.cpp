@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/hash.hpp"
+#include "memcached/command.hpp"
 #include "ucr/endpoint.hpp"
 
 namespace rmc::onesided {
@@ -55,8 +56,8 @@ RemoteGetter::RemoteGetter(ucr::Runtime& runtime, GetterConfig config)
 RemoteGetter::~RemoteGetter() { cookie_registry().erase(cookie_); }
 
 std::uint32_t RemoteGetter::now_seconds() const {
-  // Mirror of Server::advance_clock so both ends agree on expiry.
-  return static_cast<std::uint32_t>(1 + runtime_->scheduler().now() / kNsPerSec);
+  // The server's cache clock, so both ends agree on expiry.
+  return mc::cache_clock(runtime_->scheduler().now());
 }
 
 sim::Task<Status> RemoteGetter::bootstrap(ucr::Endpoint& ep, sim::Time timeout) {

@@ -100,7 +100,7 @@ class RemoteGetter {
   Verify verify_record(std::span<const std::byte> record, std::string_view key,
                        std::uint32_t expected_version, OneSidedHit& out) const;
   void remember_hint(const std::string& key, Hint hint);
-  /// Current cache-clock seconds, mirroring the server's advance_clock.
+  /// Current cache-clock seconds (mc::cache_clock).
   std::uint32_t now_seconds() const;
 
   ucr::Runtime* runtime_;

@@ -45,7 +45,6 @@ inline constexpr std::uint16_t kMsgRfpBootstrapResp = 0x6d21;
 /// One-way nudge re-arming a parked server poll loop (no reply).
 inline constexpr std::uint16_t kMsgRfpWake = 0x6d22;
 
-using onesided::Fnv1a64;
 using onesided::RemoteWindow;
 
 /// Framing of one ring slot (either direction).

@@ -259,7 +259,7 @@ std::size_t RingServer::seal_response(ClientRing& ring, std::uint32_t slot,
 
 std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
                                      const ucrp::RequestHeader& req,
-                                     std::span<const std::byte> key_block) {
+                                     std::span<const std::byte> key_block, sim::Time now) {
   const std::span<std::byte> staging = slot_span(ring.staging, slot, ring.slot_size);
   const std::span<std::byte> body = frame_body(staging);
   const auto key_count = static_cast<std::uint32_t>(req.delta);
@@ -279,6 +279,7 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
                          {});
   }
 
+  store_->set_clock(mc::cache_clock(now));
   ucrp::MgetKeyReader reader{key_block.data(), key_block.size()};
   std::string_view key;
   std::uint32_t index = 0;
@@ -346,96 +347,38 @@ sim::Task<std::size_t> RingServer::execute(ClientRing& ring, std::uint32_t slot,
   const std::string_view key{reinterpret_cast<const char*>(tail.data()), req.key_len};
   const std::span<const std::byte> value = tail.subspan(req.key_len);
 
-  store_->set_clock(
-      static_cast<std::uint32_t>(1 + runtime_->scheduler().now() / kNsPerSec));
-
+  const sim::Time now = runtime_->scheduler().now();
   std::size_t copied_bytes = 0;
   std::size_t frame_len = 0;
   {
     obs::ProfScope prof{kProfExecute};
-    switch (req.op) {
-      case ucrp::Op::get:
-      case ucrp::Op::gets: {
-        if (mc::ItemHeader* item = store_->get_pinned(key)) {
-          resp.status = ucrp::RStatus::value;
-          resp.flags = item->flags;
-          resp.cas = item->cas;
-          frame_len = seal_response(ring, slot, resp, item->value());
-          copied_bytes = item->value_len;
-          store_->release(item);
-        } else {
-          resp.status = ucrp::RStatus::not_found;
-          frame_len = seal_response(ring, slot, resp, {});
-        }
-        break;
+    if (req.op == ucrp::Op::mget) {
+      mget_value_bytes_ = 0;
+      frame_len = execute_mget(ring, slot, req, tail.first(req.key_len), now);
+      copied_bytes = mget_value_bytes_;
+    } else {
+      // flush_all / version stay on the RPC path (fallback matrix,
+      // DESIGN.md §16); execute() answers unknown op bytes the same way.
+      const mc::Outcome out =
+          req.op == ucrp::Op::flush_all || req.op == ucrp::Op::version
+              ? mc::Outcome{.code = mc::Code::unsupported}
+              : mc::execute(*store_, now,
+                            {.op = req.op,
+                             .key = key,
+                             .value = value,
+                             .flags = req.flags,
+                             .exptime = req.exptime,
+                             .cas = req.cas,
+                             .delta = req.delta});
+      const ucrp::ResponseHeader reply = mc::ucr_reply_header(out, req.req_id);
+      if (ucrp::is_storage(req.op)) copied_bytes = value.size();
+      if (mc::ItemHeader* item = out.item) {
+        frame_len = seal_response(ring, slot, reply, item->value());
+        copied_bytes = item->value_len;
+        store_->release(item);
+      } else {
+        frame_len = seal_response(ring, slot, reply, {});
       }
-      case ucrp::Op::set:
-      case ucrp::Op::add:
-      case ucrp::Op::replace:
-      case ucrp::Op::append:
-      case ucrp::Op::prepend:
-      case ucrp::Op::cas: {
-        mc::SetMode mode = mc::SetMode::set;
-        switch (req.op) {
-          case ucrp::Op::add: mode = mc::SetMode::add; break;
-          case ucrp::Op::replace: mode = mc::SetMode::replace; break;
-          case ucrp::Op::append: mode = mc::SetMode::append; break;
-          case ucrp::Op::prepend: mode = mc::SetMode::prepend; break;
-          case ucrp::Op::cas: mode = mc::SetMode::cas; break;
-          default: break;
-        }
-        auto stored = store_->store(mode, key, value, req.flags, req.exptime, req.cas);
-        if (stored.ok()) {
-          resp.status = ucrp::RStatus::stored;
-        } else {
-          switch (stored.error()) {
-            case Errc::not_stored: resp.status = ucrp::RStatus::not_stored; break;
-            case Errc::exists: resp.status = ucrp::RStatus::exists; break;
-            case Errc::not_found: resp.status = ucrp::RStatus::not_found; break;
-            default: resp.status = ucrp::RStatus::server_error; break;
-          }
-        }
-        copied_bytes = value.size();
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
-      }
-      case ucrp::Op::del:
-        resp.status =
-            store_->del(key) ? ucrp::RStatus::deleted : ucrp::RStatus::not_found;
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
-      case ucrp::Op::incr:
-      case ucrp::Op::decr: {
-        auto result = store_->arith(key, req.delta, req.op == ucrp::Op::decr);
-        if (result.ok()) {
-          resp.status = ucrp::RStatus::number;
-          resp.number = *result;
-        } else if (result.error() == Errc::not_found) {
-          resp.status = ucrp::RStatus::not_found;
-        } else {
-          resp.status = ucrp::RStatus::client_error;
-        }
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
-      }
-      case ucrp::Op::touch:
-        resp.status = store_->touch(key, req.exptime) ? ucrp::RStatus::touched
-                                                      : ucrp::RStatus::not_found;
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
-      case ucrp::Op::mget:
-        mget_value_bytes_ = 0;
-        frame_len = execute_mget(
-            ring, slot, req,
-            tail.first(std::min<std::size_t>(req.key_len, tail.size())));
-        copied_bytes = mget_value_bytes_;
-        break;
-      default:
-        // flush_all / version and anything unknown stay on the RPC path
-        // (fallback matrix, DESIGN.md §16).
-        resp.status = ucrp::RStatus::client_error;
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
     }
   }
 

@@ -2,8 +2,9 @@
 //
 // A RingServer owns one request ring per bootstrapped client endpoint.
 // Clients RDMA-write framed commands (layout.hpp) into their ring slots;
-// a single dedicated poll loop sweeps every ring, executes verified
-// frames directly against the ItemStore, and RDMA-writes the framed
+// a single dedicated poll loop sweeps every ring, runs verified frames
+// through the command core (mc::execute) against the ItemStore — the ring
+// is a transport, not a second executor — and RDMA-writes the framed
 // response into the client's response arena — one doorbell per ring
 // sweep via the runtime's send-batch window. No active message, CQ
 // wake-up, or worker hand-off touches the data path.
@@ -107,7 +108,7 @@ class RingServer {
                             std::span<const std::byte> value);
   std::size_t execute_mget(ClientRing& ring, std::uint32_t slot,
                            const mc::ucrp::RequestHeader& req,
-                           std::span<const std::byte> key_block);
+                           std::span<const std::byte> key_block, sim::Time now);
   /// Advance the slot's expected epoch after its request has been executed
   /// and its response staged. This is the ONLY place the server's half of
   /// the lockstep seq protocol moves (rmclint seqlock-discipline blesses

@@ -67,6 +67,13 @@ class Counter {
   explicit Counter(Scheduler& sched) : sched_(&sched) {}
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
+  /// Detaches every intrusive waiter, so a frame still suspended here may
+  /// be destroyed after the counter without touching it.
+  ~Counter() {
+    for (auto& w : waiters_) {
+      if (w.node != nullptr) w.node->registered = nullptr;
+    }
+  }
 
   std::uint64_t value() const { return value_; }
 

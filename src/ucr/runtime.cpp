@@ -419,7 +419,9 @@ Status Runtime::send_message(Endpoint& ep, std::uint16_t msg_id,
     obs::registry().counter("ucr.backlog.stalls").inc();
     std::vector<std::byte> packed(packed_len);
     am.encode(packed.data());
-    std::memcpy(packed.data() + wire::AmWire::kSize, header.data(), header.size());
+    if (!header.empty()) {  // an empty span may carry a null data()
+      std::memcpy(packed.data() + wire::AmWire::kSize, header.data(), header.size());
+    }
     if (eager && !data.empty()) {
       std::memcpy(packed.data() + wire::AmWire::kSize + header.size(), data.data(),
                   data.size());
@@ -434,7 +436,9 @@ Status Runtime::send_message(Endpoint& ep, std::uint16_t msg_id,
     auto buf = slot_span(slot);
     assert(packed_len <= buf.size());
     am.encode(buf.data());
-    std::memcpy(buf.data() + wire::AmWire::kSize, header.data(), header.size());
+    if (!header.empty()) {  // an empty span may carry a null data()
+      std::memcpy(buf.data() + wire::AmWire::kSize, header.data(), header.size());
+    }
     if (eager && !data.empty()) {
       std::memcpy(buf.data() + wire::AmWire::kSize + header.size(), data.data(),
                   data.size());

@@ -270,6 +270,119 @@ TEST(EndToEnd, EveryClientModeGivesTheSameReplies) {
   }
 }
 
+/// One row per command outcome, from a fresh store, in a fixed order.
+/// Each line is "row code[ detail]" where code is the Errc name the client
+/// API reports. `huge` is larger than the largest slab class.
+Task<> outcome_rows(Client& client, std::span<const std::byte> huge, std::string* log) {
+  auto note = [log](const char* row, const std::string& outcome) {
+    *log += std::string(row) + " " + outcome + "\n";
+  };
+  auto code = [](const Status& st) { return std::string(st.ok() ? "ok" : to_string(st.error())); };
+  EXPECT_TRUE((co_await client.connect_all()).ok());
+
+  note("stored", code(co_await client.set("k", val("v1"), 3)));
+  auto hit = co_await client.get("k");
+  note("hit", hit.ok() ? "ok " + str(hit->data) + " flags " + std::to_string(hit->flags)
+                       : std::string(to_string(hit.error())));
+  auto miss = co_await client.get("absent");
+  note("miss", miss.ok() ? "ok" : std::string(to_string(miss.error())));
+  note("add-exists", code(co_await client.add("k", val("x"))));
+  note("replace-miss", code(co_await client.replace("absent", val("x"))));
+  note("append-miss", code(co_await client.append("absent", val("x"))));
+  auto with_cas = co_await client.gets("k");
+  EXPECT_TRUE(with_cas.ok());
+  const std::uint64_t stale = with_cas.ok() ? with_cas->cas + 1 : 1;
+  note("cas-exists", code(co_await client.cas("k", val("x"), stale)));
+  note("cas-miss", code(co_await client.cas("absent", val("x"), 1)));
+  note("delete-hit", code(co_await client.del("k")));
+  note("delete-miss", code(co_await client.del("k")));
+  EXPECT_TRUE((co_await client.set("n", val("41"))).ok());
+  auto number = co_await client.incr("n", 1);
+  note("incr-number", number.ok() ? "ok " + std::to_string(*number)
+                                  : std::string(to_string(number.error())));
+  auto incr_miss = co_await client.incr("absent", 1);
+  note("incr-miss", incr_miss.ok() ? "ok" : std::string(to_string(incr_miss.error())));
+  EXPECT_TRUE((co_await client.set("word", val("abc"))).ok());
+  auto non_numeric = co_await client.incr("word", 1);
+  note("incr-non-numeric",
+       non_numeric.ok() ? "ok" : std::string(to_string(non_numeric.error())));
+  note("touch-hit", code(co_await client.touch("word", 100)));
+  note("touch-miss", code(co_await client.touch("absent", 100)));
+  note("too-large", code(co_await client.set("huge", huge)));
+  auto after = co_await client.get("huge");
+  note("too-large-get", after.ok() ? "ok" : std::string(to_string(after.error())));
+}
+
+TEST(EndToEnd, OutcomeMatrixPinsEveryWire) {
+  // The wires share one store but not one status vocabulary; this pins
+  // what each reports today, row by row, differences included.
+  const std::string common =
+      "stored ok\n"
+      "hit ok v1 flags 3\n"
+      "miss not_found\n"
+      "add-exists not_stored\n"
+      "replace-miss not_stored\n"
+      "append-miss not_stored\n"
+      "cas-exists exists\n"
+      "cas-miss not_found\n"
+      "delete-hit ok\n"
+      "delete-miss not_found\n"
+      "incr-number ok 42\n"
+      "incr-miss not_found\n";
+  const std::string text = common +
+                           "incr-non-numeric invalid_argument\n"
+                           "touch-hit ok\n"
+                           "touch-miss not_found\n"
+                           "too-large protocol_error\n"
+                           "too-large-get not_found\n";
+  const std::string binary = common +
+                             "incr-non-numeric invalid_argument\n"
+                             "touch-hit ok\n"
+                             "touch-miss not_found\n"
+                             "too-large too_large\n"
+                             "too-large-get not_found\n";
+  const std::string ucr = common +
+                          "incr-non-numeric invalid_argument\n"
+                          "touch-hit ok\n"
+                          "touch-miss not_found\n"
+                          "too-large no_resources\n"
+                          "too-large-get not_found\n";
+  struct Wire {
+    const char* name;
+    ClientBehavior::Mode mode;
+    bool socket;
+    bool binary;
+    const std::string* expected;
+  };
+  const Wire wires[] = {
+      {"text", ClientBehavior::Mode::rpc, true, false, &text},
+      {"binary", ClientBehavior::Mode::rpc, true, true, &binary},
+      {"ucr rpc", ClientBehavior::Mode::rpc, false, false, &ucr},
+      {"ucr rfp", ClientBehavior::Mode::rfp, false, false, &ucr},
+  };
+  for (const Wire& wire : wires) {
+    const std::uint64_t rfp_ops = obs::registry().counter("mc.rfp.ops").value();
+    ModeBed bed(wire.mode);
+    std::vector<std::byte> huge(bed.server.config().store.slabs.chunk_max + 1, std::byte{'h'});
+    bed.client_ucr.register_region(huge);
+    std::unique_ptr<Client> client;
+    if (wire.socket) {
+      ClientBehavior behavior;
+      behavior.binary_protocol = wire.binary;
+      client = std::make_unique<Client>(bed.sched, bed.client_host, behavior);
+      client->add_server_socket(bed.client_sock, bed.server_sock.addr(), bed.server.config().port);
+    } else {
+      client = std::move(bed.client);
+    }
+    std::string log;
+    bed.run(outcome_rows(*client, huge, &log));
+    EXPECT_EQ(log, *wire.expected) << wire.name;
+    if (wire.mode == ClientBehavior::Mode::rfp) {
+      EXPECT_GT(obs::registry().counter("mc.rfp.ops").value() - rfp_ops, 10u);
+    }
+  }
+}
+
 TEST(EndToEnd, MalformedMgetChunkFailsTheRequest) {
   // A raw request handler answers every mget with a chunk whose record
   // promises more value bytes than the reply carries. The client must

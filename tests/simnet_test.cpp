@@ -278,6 +278,24 @@ TEST(Counter, BatchAddWakesAllEligible) {
   EXPECT_EQ(woken, 5);
 }
 
+TEST(Counter, DestroyedBeforeItsSuspendedWaiter) {
+  // Teardown order: a Counter owned by some fixture dies while a root
+  // frame is still suspended on it; the Scheduler destroys that frame
+  // later. The frame's awaiter must not touch the freed counter.
+  bool resumed = false;
+  {
+    Scheduler sched;
+    auto c = std::make_unique<Counter>(sched);
+    sched.spawn([](Counter& cc, bool& out) -> Task<> {
+      co_await cc.wait_geq(1);
+      out = true;
+    }(*c, resumed));
+    sched.run();  // the root suspends on the counter
+    c.reset();
+  }  // ~Scheduler destroys the still-suspended frame
+  EXPECT_FALSE(resumed);
+}
+
 // ------------------------------------------------------------ channel ----
 
 TEST(Channel, FifoDelivery) {
