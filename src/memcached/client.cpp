@@ -913,7 +913,7 @@ class UcrConn final : public ServerConn {
       if (header.status != ucrp::RStatus::value || body.size() < ucrp::MgetChunkHeader::kSize) {
         return Errc::protocol_error;
       }
-      const auto chunk = ucrp::MgetChunkHeader::decode(body.data());
+      const auto chunk = codec::decode<ucrp::MgetChunkHeader>(body.data());
       const std::size_t values_at =
           ucrp::MgetChunkHeader::kSize +
           static_cast<std::size_t>(chunk.record_count) * ucrp::MgetRecord::kSize;
@@ -961,7 +961,8 @@ class UcrConn final : public ServerConn {
     }
     std::size_t off = 0;
     for (std::uint32_t i = 0; i < chunk.record_count; ++i) {
-      const auto rec = ucrp::MgetRecord::decode(records.data() + i * ucrp::MgetRecord::kSize);
+      const auto rec =
+          codec::decode<ucrp::MgetRecord>(records.data() + i * ucrp::MgetRecord::kSize);
       MgetSlot& slot = slots[chunk.start_index + i];
       if (rec.status != ucrp::RStatus::value) {
         slot.hit = false;
@@ -1117,7 +1118,7 @@ class UcrConn final : public ServerConn {
     // Heads are bounded, so the AM packs on the stack; send_message copies
     // it out (slot or backlog) before returning.
     std::byte packed[ucrp::RequestHeader::kSize + ucrp::kMaxMgetKeyBlock];
-    header.encode(packed);
+    codec::encode(header, packed);
     std::copy(head.begin(), head.end(), packed + ucrp::RequestHeader::kSize);
 
     const Status sent = runtime_->send_message(
@@ -1208,7 +1209,7 @@ class UcrConn final : public ServerConn {
   // ---- response arrival (called from the shared runtime handler) ----
   std::span<std::byte> on_response_header(std::span<const std::byte> header,
                                           std::uint32_t data_len) {
-    const auto resp = ucrp::ResponseHeader::decode(header.data());
+    const auto resp = codec::decode<ucrp::ResponseHeader>(header.data());
     Pending* p = pending_.get(resp.req_id);
     if (p == nullptr) return {};
     if (p->mget != nullptr) {
@@ -1228,7 +1229,7 @@ class UcrConn final : public ServerConn {
   }
 
   void on_response_complete(std::span<const std::byte> header, std::span<std::byte> data) {
-    const auto resp = ucrp::ResponseHeader::decode(header.data());
+    const auto resp = codec::decode<ucrp::ResponseHeader>(header.data());
     Pending* p = pending_.get(resp.req_id);
     if (p == nullptr) return;
     if (p->mget != nullptr) {
@@ -1254,7 +1255,7 @@ class UcrConn final : public ServerConn {
       return;
     }
     const auto chunk =
-        ucrp::MgetChunkHeader::decode(header.data() + ucrp::ResponseHeader::kSize);
+        codec::decode<ucrp::MgetChunkHeader>(header.data() + ucrp::ResponseHeader::kSize);
     ctx.total_chunks = chunk.total_chunks;
     // The values landed in the arena, which outlives this op (stable).
     if (!decode_mget_chunk(chunk, header.subspan(kRecordsAt), data, ctx.slots, true).ok()) {

@@ -1,6 +1,8 @@
 // rmclint:hotpath — the one store executor behind every wire
 #include "memcached/command.hpp"
 
+#include <cstring>
+
 #include "memcached/store.hpp"
 #include "memcached/ucr_proto.hpp"
 
@@ -93,6 +95,59 @@ Outcome execute(ItemStore& store, sim::Time now, const Command& cmd) {
       break;
   }
   return {.code = Code::unsupported};
+}
+
+bool pin_mget(ItemStore& store, sim::Time now, std::span<const std::byte> key_block,
+              std::size_t max_keys, std::size_t value_budget, std::vector<ItemHeader*>& items) {
+  store.set_clock(cache_clock(now));
+  ucrp::MgetKeyReader reader{key_block.data(), key_block.size()};
+  std::string_view key;
+  std::size_t value_bytes = 0;
+  while (items.size() < max_keys && reader.next(key)) {
+    ItemHeader* item = store.get_pinned(key);
+    if (item != nullptr) {
+      value_bytes += item->value_len;
+      if (value_bytes > value_budget) {
+        store.release(item);
+        return false;
+      }
+    }
+    // rmclint:allow(zeroalloc): caller-owned scratch; capacity reaches its high-water mark at warmup
+    items.push_back(item);
+  }
+  return true;
+}
+
+std::size_t encode_mget_chunk(std::byte* out, std::uint64_t req_id, std::uint32_t start,
+                              std::span<ItemHeader* const> items, std::uint32_t total_chunks,
+                              std::uint32_t total_keys) {
+  const auto count = static_cast<std::uint32_t>(items.size());
+  codec::encode(ucrp::ResponseHeader{.status = ucrp::RStatus::value, .req_id = req_id}, out);
+  codec::encode(ucrp::MgetChunkHeader{start, count, total_chunks, total_keys},
+                out + ucrp::ResponseHeader::kSize);
+  std::size_t o = ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize;
+  for (const ItemHeader* item : items) {
+    ucrp::MgetRecord rec;
+    if (item != nullptr) {
+      rec.status = ucrp::RStatus::value;
+      rec.flags = item->flags;
+      rec.cas = item->cas;
+      rec.value_len = item->value_len;
+    }
+    codec::encode(rec, out + o);
+    o += ucrp::MgetRecord::kSize;
+  }
+  return o;
+}
+
+std::size_t copy_mget_values(std::span<ItemHeader* const> items, std::byte* out) {
+  std::size_t o = 0;
+  for (const ItemHeader* item : items) {
+    if (item == nullptr) continue;
+    std::memcpy(out + o, item->value_data(), item->value_len);
+    o += item->value_len;
+  }
+  return o;
 }
 
 }  // namespace rmc::mc

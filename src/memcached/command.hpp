@@ -9,9 +9,11 @@
 // stay one line each in their frontend.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "memcached/binary.hpp"
 #include "memcached/protocol.hpp"
@@ -120,7 +122,29 @@ inline std::uint32_t cache_clock(sim::Time now) {
 
 /// Run one command against `store` at sim time `now` (the store's clock
 /// is advanced first). flush_all (its delay needs the server's timers) and
-/// mget (a packer's job) answer `unsupported`.
+/// mget (the packer below) answer `unsupported`.
 Outcome execute(ItemStore& store, sim::Time now, const Command& cmd);
+
+// The multiget packer, shared by the UCR frontend and the RFP ring.
+
+/// Pin the keys of a packed mget key block (ucrp::MgetKeyReader) in
+/// request order at sim time `now`, at most `max_keys` of them: a hit
+/// appends its pinned item to `items`, a miss appends nullptr. Returns
+/// false, having released it, at the first hit whose value would take the
+/// pinned value bytes past `value_budget`. The caller releases `items`.
+bool pin_mget(ItemStore& store, sim::Time now, std::span<const std::byte> key_block,
+              std::size_t max_keys, std::size_t value_budget, std::vector<ItemHeader*>& items);
+
+/// Encode one reply chunk's header block at `out`: a `value`
+/// ResponseHeader echoing `req_id`, the MgetChunkHeader, and one
+/// MgetRecord per item of `items` (the chunk's records, starting at
+/// request index `start`). Returns the bytes written; the hit values
+/// travel after it, in record order (copy_mget_values).
+std::size_t encode_mget_chunk(std::byte* out, std::uint64_t req_id, std::uint32_t start,
+                              std::span<ItemHeader* const> items, std::uint32_t total_chunks,
+                              std::uint32_t total_keys);
+
+/// Concatenate the hit values of `items` at `out`; returns the bytes copied.
+std::size_t copy_mget_values(std::span<ItemHeader* const> items, std::byte* out);
 
 }  // namespace rmc::mc

@@ -523,7 +523,7 @@ void Server::attach_ucr_frontend(ucr::Runtime& runtime) {
                   std::uint32_t data_len) -> std::span<std::byte> {
              // SET-family values get their destination named here: the
              // final slab location of the item (§V-B).
-             const auto req = ucrp::RequestHeader::decode(header.data());
+             const auto req = codec::decode<ucrp::RequestHeader>(header.data());
              if (!ucrp::is_storage(req.op) || data_len == 0) return {};
              store_.set_clock(cache_clock(sched_->now()));
              const std::string_view key{
@@ -546,7 +546,7 @@ void Server::attach_ucr_frontend(ucr::Runtime& runtime) {
            [this](ucr::Endpoint& ep, std::span<const std::byte> header,
                   std::span<std::byte> data) {
              bytes_read_ += header.size() + data.size();
-             const auto req = ucrp::RequestHeader::decode(header.data());
+             const auto req = codec::decode<ucrp::RequestHeader>(header.data());
              Work work;
              work.is_ucr = true;
              work.ep = &ep;
@@ -620,7 +620,7 @@ void Server::ucr_send_error(ucr::Endpoint& ep, ucrp::ResponseHeader header,
                             std::uint64_t reply_counter) {
   header.status = ucrp::RStatus::server_error;
   std::byte hdr[ucrp::ResponseHeader::kSize];
-  header.encode(hdr);
+  codec::encode(header, hdr);
   (void)ucr_runtime_->send_message(ep, ucrp::kMsgResponse, hdr, {}, nullptr,
                                    ucr::CounterRef{reply_counter}, nullptr);
 }
@@ -638,7 +638,7 @@ void Server::release_when_sent(ItemHeader* item, std::unique_ptr<sim::Counter> d
 void Server::ucr_reply(ucr::Endpoint& ep, const ucrp::ResponseHeader& header,
                        ItemHeader* pinned_item, std::uint64_t reply_counter) {
   std::byte hdr[ucrp::ResponseHeader::kSize];
-  header.encode(hdr);
+  codec::encode(header, hdr);
   std::span<const std::byte> data{};
   if (pinned_item) data = pinned_item->value();
   bytes_written_ += sizeof(hdr) + data.size();
@@ -695,16 +695,11 @@ sim::Task<> Server::process_ucr_mget(Work& work, WorkerScratch& scratch) {
   // pays op_base_ns once, exactly like the socket path's multi-key GET.
   const sim::Time exec_start = sched_->now();
   co_await host_->cpu().consume(config_.costs.op_base_ns);
-  store_.set_clock(cache_clock(sched_->now()));
   {
     obs::ProfScope prof{kProfExecute};
     scratch.mget_items.clear();
-    ucrp::MgetKeyReader reader{work.mget_keys.data(), work.mget_keys_len};
-    std::string_view key;
-    while (reader.next(key)) {
-      // rmclint:allow(zeroalloc): reusable per-worker scratch; capacity reaches its high-water mark at warmup
-      scratch.mget_items.push_back(store_.get_pinned(key));
-    }
+    (void)pin_mget(store_, sched_->now(), {work.mget_keys.data(), work.mget_keys_len},
+                   SIZE_MAX, SIZE_MAX, scratch.mget_items);
   }
   const auto n = static_cast<std::uint32_t>(scratch.mget_items.size());
   mget_batch_->record(n);
@@ -778,27 +773,10 @@ sim::Task<> Server::process_ucr_mget(Work& work, WorkerScratch& scratch) {
         }
         continue;
       }
-      ucrp::ResponseHeader resp;
-      resp.status = ucrp::RStatus::value;
-      resp.req_id = req.req_id;
-      resp.encode(hdr);
-      const ucrp::MgetChunkHeader chunk{start, count, total, n};
-      chunk.encode(hdr + ucrp::ResponseHeader::kSize);
-      std::size_t ho = ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize;
+      const std::span<ItemHeader* const> items{scratch.mget_items.data() + start, count};
+      const std::size_t ho = encode_mget_chunk(hdr, req.req_id, start, items, total, n);
       std::size_t data_bytes = 0;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        ItemHeader* item = scratch.mget_items[start + i];
-        ucrp::MgetRecord rec;
-        if (item) {
-          rec.status = ucrp::RStatus::value;
-          rec.flags = item->flags;
-          rec.cas = item->cas;
-          rec.value_len = static_cast<std::uint32_t>(item->value().size());
-          data_bytes += item->value().size();
-        }
-        rec.encode(hdr + ho);
-        ho += ucrp::MgetRecord::kSize;
-      }
+      for (const ItemHeader* item : items) data_bytes += item ? item->value_len : 0;
       ItemHeader* single = count == 1 ? scratch.mget_items[start] : nullptr;
       if (ucr::wire::AmWire::kSize + ho + data_bytes > frame && single != nullptr &&
           ep.type() != ucr::EpType::unreliable) {
@@ -824,7 +802,7 @@ sim::Task<> Server::process_ucr_mget(Work& work, WorkerScratch& scratch) {
         // a server error instead of leaving the client to time out.
         ucrp::MgetRecord rec;
         rec.status = ucrp::RStatus::server_error;
-        rec.encode(hdr + ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize);
+        codec::encode(rec, hdr + ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize);
         data_bytes = 0;
         store_.release(single);
         scratch.mget_items[start] = nullptr;
@@ -832,13 +810,9 @@ sim::Task<> Server::process_ucr_mget(Work& work, WorkerScratch& scratch) {
       // Eager chunk: gather the hit values into the worker's scratch and
       // let send_message copy them out synchronously — the items can be
       // unpinned as soon as it returns.
-      scratch.out.clear();
-      for (std::uint32_t i = 0; i < count && data_bytes > 0; ++i) {
-        ItemHeader* item = scratch.mget_items[start + i];
-        if (!item) continue;
-        // rmclint:allow(zeroalloc): reusable per-worker scratch; capacity reaches its high-water mark at warmup
-        scratch.out.insert(scratch.out.end(), item->value().begin(), item->value().end());
-      }
+      // rmclint:allow(zeroalloc): reusable per-worker scratch; capacity reaches its high-water mark at warmup
+      scratch.out.resize(data_bytes);
+      (void)copy_mget_values(items, scratch.out.data());
       const Status sent = ucr_runtime_->send_message(
           ep, ucrp::kMsgResponse, std::span<const std::byte>{hdr, ho}, scratch.out,
           nullptr, ucr::CounterRef{req.reply_counter}, nullptr);

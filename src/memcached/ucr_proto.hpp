@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <tuple>
 
+#include "common/codec.hpp"
 #include "memcached/command.hpp"
 
 namespace rmc::mc::ucrp {
@@ -50,37 +52,10 @@ struct RequestHeader {
 
   static constexpr std::size_t kSize = 1 + 2 + 4 + 4 + 8 + 8 + 8 + 8;
 
-  void encode(std::byte* out) const {
-    std::size_t o = 0;
-    auto put = [&](const auto& v) {
-      std::memcpy(out + o, &v, sizeof(v));
-      o += sizeof(v);
-    };
-    put(op);
-    put(key_len);
-    put(flags);
-    put(exptime);
-    put(cas);
-    put(delta);
-    put(req_id);
-    put(reply_counter);
-  }
-  static RequestHeader decode(const std::byte* in) {
-    RequestHeader h;
-    std::size_t o = 0;
-    auto get = [&](auto& v) {
-      std::memcpy(&v, in + o, sizeof(v));
-      o += sizeof(v);
-    };
-    get(h.op);
-    get(h.key_len);
-    get(h.flags);
-    get(h.exptime);
-    get(h.cas);
-    get(h.delta);
-    get(h.req_id);
-    get(h.reply_counter);
-    return h;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.op, s.key_len, s.flags, s.exptime, s.cas, s.delta, s.req_id,
+                    s.reply_counter);
   }
 };
 
@@ -108,31 +83,9 @@ struct ResponseHeader {
 
   static constexpr std::size_t kSize = 1 + 4 + 8 + 8 + 8;
 
-  void encode(std::byte* out) const {
-    std::size_t o = 0;
-    auto put = [&](const auto& v) {
-      std::memcpy(out + o, &v, sizeof(v));
-      o += sizeof(v);
-    };
-    put(status);
-    put(flags);
-    put(cas);
-    put(number);
-    put(req_id);
-  }
-  static ResponseHeader decode(const std::byte* in) {
-    ResponseHeader h;
-    std::size_t o = 0;
-    auto get = [&](auto& v) {
-      std::memcpy(&v, in + o, sizeof(v));
-      o += sizeof(v);
-    };
-    get(h.status);
-    get(h.flags);
-    get(h.cas);
-    get(h.number);
-    get(h.req_id);
-    return h;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.status, s.flags, s.cas, s.number, s.req_id);
   }
 };
 
@@ -205,29 +158,9 @@ struct MgetChunkHeader {
 
   static constexpr std::size_t kSize = 4 + 4 + 4 + 4;
 
-  void encode(std::byte* out) const {
-    std::size_t o = 0;
-    auto put = [&](const auto& v) {
-      std::memcpy(out + o, &v, sizeof(v));
-      o += sizeof(v);
-    };
-    put(start_index);
-    put(record_count);
-    put(total_chunks);
-    put(total_keys);
-  }
-  static MgetChunkHeader decode(const std::byte* in) {
-    MgetChunkHeader h;
-    std::size_t o = 0;
-    auto get = [&](auto& v) {
-      std::memcpy(&v, in + o, sizeof(v));
-      o += sizeof(v);
-    };
-    get(h.start_index);
-    get(h.record_count);
-    get(h.total_chunks);
-    get(h.total_keys);
-    return h;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.start_index, s.record_count, s.total_chunks, s.total_keys);
   }
 };
 
@@ -242,29 +175,9 @@ struct MgetRecord {
 
   static constexpr std::size_t kSize = 1 + 4 + 8 + 4;
 
-  void encode(std::byte* out) const {
-    std::size_t o = 0;
-    auto put = [&](const auto& v) {
-      std::memcpy(out + o, &v, sizeof(v));
-      o += sizeof(v);
-    };
-    put(status);
-    put(flags);
-    put(cas);
-    put(value_len);
-  }
-  static MgetRecord decode(const std::byte* in) {
-    MgetRecord h;
-    std::size_t o = 0;
-    auto get = [&](auto& v) {
-      std::memcpy(&v, in + o, sizeof(v));
-      o += sizeof(v);
-    };
-    get(h.status);
-    get(h.flags);
-    get(h.cas);
-    get(h.value_len);
-    return h;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.status, s.flags, s.cas, s.value_len);
   }
 };
 

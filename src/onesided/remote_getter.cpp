@@ -1,29 +1,13 @@
 #include "onesided/remote_getter.hpp"
 
 #include <cstring>
-#include <unordered_map>
 
-#include "common/hash.hpp"
 #include "memcached/command.hpp"
 #include "ucr/endpoint.hpp"
 
 namespace rmc::onesided {
 
 namespace {
-
-/// Bootstrap responses arrive on a per-runtime AM handler, but the
-/// endpoint's user_data belongs to the connection layer above us, so the
-/// response is routed back by the cookie echoed in the descriptor.
-/// Cookies are process-unique, which lets every runtime share one map.
-std::uint64_t next_cookie() {
-  static std::uint64_t next = 1;
-  return next++;
-}
-
-std::unordered_map<std::uint64_t, RemoteGetter*>& cookie_registry() {
-  static std::unordered_map<std::uint64_t, RemoteGetter*> map;
-  return map;
-}
 
 void decode_entry(const std::byte* src, BucketEntry& out) {
   std::memcpy(&out, src, sizeof(BucketEntry));
@@ -32,28 +16,12 @@ void decode_entry(const std::byte* src, BucketEntry& out) {
 }  // namespace
 
 RemoteGetter::RemoteGetter(ucr::Runtime& runtime, GetterConfig config)
-    : runtime_(&runtime), config_(config), cookie_(next_cookie()),
+    : runtime_(&runtime), config_(config),
       reads_metric_(&obs::registry().counter("mc.oneside.reads")),
       fallbacks_metric_(&obs::registry().counter("mc.oneside.fallbacks")),
       torn_metric_(&obs::registry().counter("mc.oneside.torn_retries")) {
   read_counter_ = runtime_->make_counter();
-  cookie_registry()[cookie_] = this;
-  // Re-registering is idempotent: the handler closes over nothing and
-  // resolves the owning getter through the cookie registry, so the last
-  // registration on a runtime serves every getter.
-  runtime_->register_handler(
-      kMsgBootstrapResp,
-      {.on_header = {},
-       .on_complete = [](ucr::Endpoint&, std::span<const std::byte> header,
-                         std::span<std::byte>) {
-        if (header.size() < IndexDescriptor::kSize) return;
-        const IndexDescriptor d = IndexDescriptor::decode(header.data());
-        auto it = cookie_registry().find(d.cookie);
-        if (it != cookie_registry().end()) it->second->descriptor_ = d;
-      }});
 }
-
-RemoteGetter::~RemoteGetter() { cookie_registry().erase(cookie_); }
 
 std::uint32_t RemoteGetter::now_seconds() const {
   // The server's cache clock, so both ends agree on expiry.
@@ -64,19 +32,12 @@ sim::Task<Status> RemoteGetter::bootstrap(ucr::Endpoint& ep, sim::Time timeout) 
   if (ready()) co_return Status{};
   if (ep.state() != ucr::EpState::ready) co_return Errc::disconnected;
 
-  bootstrap_counter_ = runtime_->make_counter();
-  bootstrap_ref_ = runtime_->export_counter(*bootstrap_counter_);
-
-  BootstrapRequest req{.cookie = cookie_, .reply_counter = bootstrap_ref_.id};
-  std::byte header[BootstrapRequest::kSize];
-  req.encode(header);
-  auto sent = runtime_->send_message(ep, kMsgBootstrap, header, {}, nullptr,
-                                     ucr::CounterRef{}, nullptr);
-  if (!sent.ok()) co_return sent;
-
-  const bool woke = co_await bootstrap_counter_->wait_geq(1, timeout);
-  if (!woke) co_return Errc::timed_out;
-  if (!ready()) co_return Errc::protocol_error;
+  std::byte reply[IndexDescriptor::kSize];
+  auto answered = co_await runtime_->call(ep, kMsgBootstrap, {}, reply, timeout);
+  if (!answered.ok()) co_return answered.error();
+  const auto d = codec::decode<IndexDescriptor>(reply);
+  if (*answered < IndexDescriptor::kSize || !d.valid()) co_return Errc::protocol_error;
+  descriptor_ = d;
 
   // One landing zone for both reads: the bucket line up front, the record
   // behind it. Sized once from the descriptor and pre-registered so the
@@ -99,34 +60,14 @@ sim::Task<bool> RemoteGetter::read(ucr::Endpoint& ep, std::span<std::byte> dst,
 
 RemoteGetter::Verify RemoteGetter::verify_record(std::span<const std::byte> record,
                                                  std::string_view key,
-                                                 std::uint32_t expected_version,
+                                                 std::optional<std::uint32_t> version,
                                                  OneSidedHit& out) const {
-  if (record.size() < sizeof(RecordHeader) + RecordHeader::kTailSize)
-    return Verify::mismatch;
-  RecordHeader hdr;
-  std::memcpy(&hdr, record.data(), sizeof(hdr));
-  // An odd front version is a retraction in progress; a zero one is a
-  // never-published slot. `expected_version` (from a bucket entry) pins
-  // the pair exactly; a hinted read accepts any stable even version.
-  if (hdr.version_front == 0 || (hdr.version_front & 1u) != 0) return Verify::mismatch;
-  if (expected_version != 0 && hdr.version_front != expected_version)
-    return Verify::mismatch;
-  if (hdr.key_len != key.size() ||
-      RecordHeader::framed_size(hdr.key_len, hdr.value_len) != record.size()) {
-    return Verify::mismatch;
-  }
-  std::uint32_t version_back = 0;
-  std::memcpy(&version_back, record.data() + record.size() - RecordHeader::kTailSize,
-              sizeof(version_back));
-  if (version_back != hdr.version_front) return Verify::mismatch;
-  const auto* key_bytes = reinterpret_cast<const char*>(record.data() + sizeof(hdr));
-  if (std::string_view(key_bytes, hdr.key_len) != key) return Verify::mismatch;
-  const auto value = record.subspan(sizeof(hdr) + hdr.key_len, hdr.value_len);
-  if (hdr.checksum != hdr.expected_checksum(key, value)) return Verify::mismatch;
+  RecordView rec;
+  if (!open_record(record, version, key, rec)) return Verify::mismatch;
   // Fully verified. Expiry is the one post-verification miss: the record
   // is genuine but dead, and only the RPC path may reap it.
-  if (hdr.exptime != 0 && hdr.exptime <= now_seconds()) return Verify::expired;
-  out = OneSidedHit{.value = value, .flags = hdr.flags, .cas = hdr.cas};
+  if (rec.meta.exptime != 0 && rec.meta.exptime <= now_seconds()) return Verify::expired;
+  out = OneSidedHit{.value = rec.value, .flags = rec.meta.flags, .cas = rec.meta.cas};
   return Verify::hit;
 }
 
@@ -163,7 +104,7 @@ sim::Task<Result<OneSidedHit>> RemoteGetter::try_get(ucr::Endpoint& ep,
   if (auto it = hints_.find(key_owned); it != hints_.end()) {
     const Hint hint = it->second;
     if (hint.record_len <= descriptor_.slot_size &&
-        hint.record_len >= RecordHeader::framed_size(key.size(), 0) &&
+        hint.record_len >= record_framed_size(key.size(), 0) &&
         static_cast<std::uint64_t>(hint.arena_offset) + hint.record_len <=
             descriptor_.arena.length) {
       auto record = std::span<std::byte>(scratch_).subspan(bucket_bytes, hint.record_len);
@@ -172,7 +113,7 @@ sim::Task<Result<OneSidedHit>> RemoteGetter::try_get(ucr::Endpoint& ep,
         co_return Errc::disconnected;
       }
       OneSidedHit hit;
-      switch (verify_record(record, key, 0, hit)) {
+      switch (verify_record(record, key, std::nullopt, hit)) {
         case Verify::hit:
           co_return hit;
         case Verify::expired:
@@ -225,7 +166,7 @@ sim::Task<Result<OneSidedHit>> RemoteGetter::try_get(ucr::Endpoint& ep,
     // Entry sanity before trusting it as a read target. An odd version is
     // a retraction in progress; bad geometry means we raced a republish.
     if ((entry.version & 1u) != 0 || entry.record_len > descriptor_.slot_size ||
-        entry.record_len < RecordHeader::framed_size(key.size(), 0) ||
+        entry.record_len < record_framed_size(key.size(), 0) ||
         static_cast<std::uint64_t>(entry.arena_offset) + entry.record_len >
             descriptor_.arena.length) {
       continue;

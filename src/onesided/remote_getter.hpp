@@ -1,15 +1,15 @@
 // Client side of the one-sided GET subsystem.
 //
-// A RemoteGetter bootstraps the server's IndexDescriptor with one AM
-// round trip, then serves GETs by RDMA Read. The cold path is two reads
-// — the bucket line keyed by the store's hash, then the record slot the
-// matching entry names. Because the record frame is self-verifying
-// (seqlock version pair, embedded key, checksum over both), a verified
-// hit also yields a location hint, and steady-state GETs re-read the
-// record directly in ONE round trip; a hint that no longer verifies is
+// A RemoteGetter bootstraps the server's IndexDescriptor with one
+// request/reply call (ucr::Runtime::call), then serves GETs by RDMA Read.
+// The cold path is two reads — the bucket line keyed by the store's hash,
+// then the record slot the matching entry names. Because the record frame
+// is self-verifying (seqlock epoch pair, checksum, embedded key), a
+// verified hit also yields a location hint, and steady-state GETs re-read
+// the record directly in ONE round trip; a hint that no longer verifies is
 // dropped and the two-read path repairs it. Every read is re-verified
-// (entry self-check, version pair, key bytes, checksum) before a value
-// is surfaced; any mismatch is a torn observation and is retried a
+// (entry self-check, frame epoch pair and checksum, key bytes) before a
+// value is surfaced; any mismatch is a torn observation and is retried a
 // bounded number of times before the caller falls back to the RPC GET.
 //
 // The getter is deliberately non-authoritative: a miss here only means
@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -59,12 +60,13 @@ struct OneSidedHit {
 class RemoteGetter {
  public:
   RemoteGetter(ucr::Runtime& runtime, GetterConfig config = {});
-  ~RemoteGetter();
   RemoteGetter(const RemoteGetter&) = delete;
   RemoteGetter& operator=(const RemoteGetter&) = delete;
 
   /// The one RPC: fetch the index descriptor over `ep`. Idempotent;
-  /// returns immediately when already bootstrapped.
+  /// returns immediately when already bootstrapped. The getter is armed
+  /// only by a call that completes: a reply landing after a timeout is
+  /// dropped.
   sim::Task<Status> bootstrap(ucr::Endpoint& ep, sim::Time timeout = 1 * kNsPerSec);
 
   bool ready() const { return descriptor_.valid(); }
@@ -93,12 +95,11 @@ class RemoteGetter {
   /// One RDMA Read + wait. False = failed/timed out (endpoint trouble).
   sim::Task<bool> read(ucr::Endpoint& ep, std::span<std::byte> dst,
                        const ucr::Runtime::RemoteMemory& window, std::uint32_t offset);
-  /// Full record-frame verification: version pair even and matching
-  /// (`expected_version` pins it, 0 accepts any even pair), framed size,
-  /// embedded key, checksum, expiry. On `hit`, `out` points into the
-  /// record bytes.
+  /// Full record verification: open_record under `version` (the bucket
+  /// entry's epoch, or nullopt for a hinted read), then expiry.
+  /// On `hit`, `out` points into the record bytes.
   Verify verify_record(std::span<const std::byte> record, std::string_view key,
-                       std::uint32_t expected_version, OneSidedHit& out) const;
+                       std::optional<std::uint32_t> version, OneSidedHit& out) const;
   void remember_hint(const std::string& key, Hint hint);
   /// Current cache-clock seconds (mc::cache_clock).
   std::uint32_t now_seconds() const;
@@ -106,15 +107,10 @@ class RemoteGetter {
   ucr::Runtime* runtime_;
   GetterConfig config_;
   IndexDescriptor descriptor_{};
-  std::uint64_t cookie_;  ///< routes the bootstrap response back to us
 
   std::vector<std::byte> scratch_;  ///< bucket line + record landing zone
   std::unique_ptr<sim::Counter> read_counter_;
   std::unordered_map<std::string, Hint> hints_;  ///< key -> last-verified slot
-
-  // Bootstrap rendezvous state.
-  std::unique_ptr<sim::Counter> bootstrap_counter_;
-  ucr::CounterRef bootstrap_ref_{};
 
   obs::Counter* reads_metric_;
   obs::Counter* fallbacks_metric_;

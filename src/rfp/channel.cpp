@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "simnet/cpu.hpp"
 #include "ucr/endpoint.hpp"
@@ -11,26 +10,8 @@ namespace rmc::rfp {
 
 namespace ucrp = mc::ucrp;
 
-namespace {
-
-/// Bootstrap responses arrive on a per-runtime AM handler shared by every
-/// channel on that runtime; the descriptor's echoed cookie routes each
-/// response to its owner (the RemoteGetter pattern). Cookies are
-/// process-unique, so all runtimes share one map.
-std::uint64_t next_cookie() {
-  static std::uint64_t next = 1;
-  return next++;
-}
-
-std::unordered_map<std::uint64_t, Channel*>& cookie_registry() {
-  static std::unordered_map<std::uint64_t, Channel*> map;
-  return map;
-}
-
-}  // namespace
-
 Channel::Channel(ucr::Runtime& runtime, sim::Host& host, ChannelConfig config)
-    : runtime_(&runtime), host_(&host), config_(config), cookie_(next_cookie()),
+    : runtime_(&runtime), host_(&host), config_(config),
       ops_(&obs::registry().counter("mc.rfp.ops")),
       fallbacks_(&obs::registry().counter("mc.rfp.fallbacks")),
       ring_full_(&obs::registry().counter("mc.rfp.ring_full")),
@@ -40,28 +21,12 @@ Channel::Channel(ucr::Runtime& runtime, sim::Host& host, ChannelConfig config)
   config_.slot_size = std::max<std::uint32_t>(
       config_.slot_size,
       static_cast<std::uint32_t>(framed_size(ucrp::ResponseHeader::kSize)));
-  cookie_registry()[cookie_] = this;
-  // Re-registering is idempotent: the handler closes over nothing and
-  // resolves the owning channel through the cookie registry.
-  runtime_->register_handler(
-      kMsgRfpBootstrapResp,
-      {.on_header = {},
-       .on_complete = [](ucr::Endpoint&, std::span<const std::byte> header,
-                         std::span<std::byte>) {
-        if (header.size() < RingDescriptor::kSize) return;
-        const RingDescriptor d = RingDescriptor::decode(header.data());
-        auto it = cookie_registry().find(d.cookie);
-        if (it != cookie_registry().end()) it->second->descriptor_ = d;
-      }});
   down_handler_id_ = runtime_->on_endpoint_down([this](ucr::Endpoint& ep, Errc) {
     if (ep_ == &ep) invalidate();
   });
 }
 
-Channel::~Channel() {
-  cookie_registry().erase(cookie_);
-  runtime_->remove_endpoint_handler(down_handler_id_);
-}
+Channel::~Channel() { runtime_->remove_endpoint_handler(down_handler_id_); }
 
 void Channel::invalidate() {
   ep_ = nullptr;
@@ -96,32 +61,23 @@ sim::Task<Status> Channel::bootstrap(ucr::Endpoint& ep, sim::Time timeout) {
   runtime_->register_region(request_staging_);
   const auto response_window = runtime_->expose_memory(response_arena_);
 
-  bootstrap_counter_ = runtime_->make_counter();
-  bootstrap_ref_ = runtime_->export_counter(*bootstrap_counter_);
-
   BootstrapRequest req;
-  req.cookie = cookie_;
-  req.reply_counter = bootstrap_ref_.id;
-  req.response_ring = {response_window.addr, response_window.rkey,
-                       response_window.length};
+  req.response_ring = {response_window.addr, response_window.rkey, response_window.length};
   req.slot_count = config_.slot_count;
   req.slot_size = config_.slot_size;
-  std::byte header[BootstrapRequest::kSize];
-  req.encode(header);
-  auto sent = runtime_->send_message(ep, kMsgRfpBootstrap, header, {}, nullptr,
-                                     ucr::CounterRef{}, nullptr);
-  if (!sent.ok()) co_return sent;
-
-  const bool woke = co_await bootstrap_counter_->wait_geq(1, timeout);
-  if (!woke) co_return Errc::timed_out;
-  if (!descriptor_.valid()) co_return Errc::protocol_error;
+  std::byte request[BootstrapRequest::kSize];
+  codec::encode(req, request);
+  std::byte reply[RingDescriptor::kSize];
+  auto answered = co_await runtime_->call(ep, kMsgRfpBootstrap, request, reply, timeout);
+  if (!answered.ok()) co_return answered.error();
+  const auto d = codec::decode<RingDescriptor>(reply);
   // Adopted geometry must fit the arenas we shipped a window for.
-  if (static_cast<std::size_t>(descriptor_.slot_count) * descriptor_.slot_size >
-      arena_bytes) {
-    descriptor_ = {};
+  if (*answered < RingDescriptor::kSize || !d.valid() ||
+      static_cast<std::size_t>(d.slot_count) * d.slot_size > arena_bytes) {
     co_return Errc::protocol_error;
   }
 
+  descriptor_ = d;
   slots_.assign(descriptor_.slot_count, Slot{});
   ++slots_epoch_;
   busy_slots_ = 0;
@@ -207,8 +163,8 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
   if (descriptor_.park_after_ns != 0 &&
       sched.now() - last_traffic_ >=
           static_cast<sim::Time>(descriptor_.park_after_ns / 2)) {
-    std::byte wake[sizeof(cookie_)];
-    std::memcpy(wake, &cookie_, sizeof(cookie_));
+    // The nudge carries an 8 B header the server ignores.
+    const std::byte wake[sizeof(std::uint64_t)] = {};
     (void)runtime_->send_message(ep, kMsgRfpWake, wake, {}, nullptr,
                                  ucr::CounterRef{}, nullptr);
   }
@@ -223,7 +179,7 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
   const std::uint32_t seq = slots_[slot].seq;
   const std::span<std::byte> staging = request_slot(slot);
   const std::span<std::byte> body = frame_body(staging);
-  hdr.encode(body.data());
+  codec::encode(hdr, body.data());
   if (!head.empty()) {
     std::memcpy(body.data() + ucrp::RequestHeader::kSize, head.data(), head.size());
   }
@@ -261,7 +217,7 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
           co_return Errc::protocol_error;
         }
         OpResult out;
-        out.header = ucrp::ResponseHeader::decode(resp_body.data());
+        out.header = codec::decode<ucrp::ResponseHeader>(resp_body.data());
         out.body = resp_body.subspan(ucrp::ResponseHeader::kSize);
         out.slot = slot;
         co_return out;

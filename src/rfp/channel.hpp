@@ -1,11 +1,11 @@
 // Client side of the RFP subsystem: the op channel.
 //
-// A Channel bootstraps a ring pair with one cookie-routed AM round trip
-// (the client ships the window of its response arena, the server answers
-// with the window of the request ring it allocated), then serves whole
-// memcached ops without any further active message: the request is
-// framed into a ring slot and RDMA-written to the server, and the
-// response is polled *locally* out of the slot-matched response arena
+// A Channel bootstraps a ring pair with one request/reply call
+// (ucr::Runtime::call: the client ships the window of its response arena,
+// the server answers with the window of the request ring it allocated),
+// then serves whole memcached ops without any further active message: the
+// request is framed into a ring slot and RDMA-written to the server, and
+// the response is polled *locally* out of the slot-matched response arena
 // frame the server RDMA-writes back. Slot epochs advance in lockstep —
 // request and response of one op carry the same seq — so neither side
 // ever clears a slot.
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -116,7 +115,6 @@ class Channel {
   ucr::Runtime* runtime_;
   sim::Host* host_;
   ChannelConfig config_;
-  std::uint64_t cookie_;  ///< routes the bootstrap response back to us
   std::uint64_t down_handler_id_ = 0;
 
   ucr::Endpoint* ep_ = nullptr;    ///< endpoint the rings are bound to
@@ -133,10 +131,6 @@ class Channel {
   std::uint64_t slots_epoch_ = 0;
   std::uint32_t busy_slots_ = 0;
   sim::Time last_traffic_ = 0;  ///< wake-AM bookkeeping vs server parking
-
-  // Bootstrap rendezvous state.
-  std::unique_ptr<sim::Counter> bootstrap_counter_;
-  ucr::CounterRef bootstrap_ref_{};
 
   obs::Counter* ops_;
   obs::Counter* fallbacks_;

@@ -39,15 +39,17 @@ RingServer::RingServer(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& st
       static_cast<std::uint32_t>(framed_size(ucrp::ResponseHeader::kSize)));
   ready_slots_.reserve(config_.max_slot_count);
   ready_lens_.reserve(config_.max_slot_count);
+  // The most keys one slot can answer: execute_mget rejects a larger
+  // multiget before pinning anything.
+  mget_items_.reserve(body_capacity(config_.max_slot_size) / ucrp::MgetRecord::kSize);
 
-  runtime_->register_handler(
-      kMsgRfpBootstrap,
-      {.on_header = {},
-       .on_complete = [this](ucr::Endpoint& ep, std::span<const std::byte> header,
-                             std::span<std::byte>) {
-        if (header.size() < BootstrapRequest::kSize) return;
-        on_bootstrap(ep, BootstrapRequest::decode(header.data()));
-      }});
+  runtime_->serve(kMsgRfpBootstrap, [this](ucr::Endpoint& ep, std::span<const std::byte> request,
+                                           std::span<std::byte> reply) -> std::size_t {
+    if (request.size() < BootstrapRequest::kSize) return 0;
+    codec::encode(on_bootstrap(ep, codec::decode<BootstrapRequest>(request.data())),
+                  reply.data());
+    return RingDescriptor::kSize;
+  });
   runtime_->register_handler(
       kMsgRfpWake,
       {.on_header = {},
@@ -69,9 +71,8 @@ RingServer::RingServer(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& st
 
 RingServer::~RingServer() { runtime_->remove_endpoint_handler(down_handler_id_); }
 
-void RingServer::on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req) {
+RingDescriptor RingServer::on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req) {
   RingDescriptor resp;
-  resp.cookie = req.cookie;
 
   const std::uint32_t slot_count =
       std::min(std::max(1u, req.slot_count), config_.max_slot_count);
@@ -118,11 +119,7 @@ void RingServer::on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req) {
     bootstraps_->inc();
     ensure_polling();
   }
-
-  std::byte out[RingDescriptor::kSize];
-  resp.encode(out);
-  (void)runtime_->send_message(ep, kMsgRfpBootstrapResp, out, {}, nullptr,
-                               ucr::CounterRef{req.reply_counter}, nullptr);
+  return resp;
 }
 
 void RingServer::ensure_polling() {
@@ -247,7 +244,7 @@ std::size_t RingServer::seal_response(ClientRing& ring, std::uint32_t slot,
     value = {};
   }
   const std::span<std::byte> body = frame_body(staging);
-  out.encode(body.data());
+  codec::encode(out, body.data());
   if (!value.empty()) {
     std::memcpy(body.data() + ucrp::ResponseHeader::kSize, value.data(), value.size());
   }
@@ -263,68 +260,29 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
   const std::span<std::byte> staging = slot_span(ring.staging, slot, ring.slot_size);
   const std::span<std::byte> body = frame_body(staging);
   const auto key_count = static_cast<std::uint32_t>(req.delta);
-
-  ucrp::ResponseHeader resp;
-  resp.status = ucrp::RStatus::value;
-  resp.req_id = req.req_id;
+  const ucrp::ResponseHeader overflow{.status = ucrp::RStatus::server_error,
+                                      .req_id = req.req_id};
 
   // Single-chunk layout: ResponseHeader | MgetChunkHeader | records | values.
-  const std::size_t records_at =
-      ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize;
-  std::size_t values_at = records_at + key_count * ucrp::MgetRecord::kSize;
-  if (values_at > body.size()) {
-    return seal_response(ring, slot,
-                         ucrp::ResponseHeader{.status = ucrp::RStatus::server_error,
-                                              .req_id = req.req_id},
-                         {});
-  }
+  const std::size_t values_at = ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize +
+                                key_count * ucrp::MgetRecord::kSize;
+  if (values_at > body.size()) return seal_response(ring, slot, overflow, {});
 
-  store_->set_clock(mc::cache_clock(now));
-  ucrp::MgetKeyReader reader{key_block.data(), key_block.size()};
-  std::string_view key;
-  std::uint32_t index = 0;
-  std::size_t value_bytes = 0;
-  bool overflow = false;
-  while (index < key_count && reader.next(key)) {
-    ucrp::MgetRecord rec;
-    if (mc::ItemHeader* item = store_->get_pinned(key)) {
-      const auto value = item->value();
-      if (values_at + value.size() > body.size()) {
-        store_->release(item);
-        overflow = true;
-        break;
-      }
-      rec.status = ucrp::RStatus::value;
-      rec.flags = item->flags;
-      rec.cas = item->cas;
-      rec.value_len = static_cast<std::uint32_t>(value.size());
-      std::memcpy(body.data() + values_at, value.data(), value.size());
-      values_at += value.size();
-      value_bytes += value.size();
-      store_->release(item);
-    }
-    rec.encode(body.data() + records_at + index * ucrp::MgetRecord::kSize);
-    ++index;
+  mget_items_.clear();
+  std::size_t body_len = 0;
+  if (mc::pin_mget(*store_, now, key_block, key_count, body.size() - values_at, mget_items_) &&
+      mget_items_.size() == key_count) {
+    (void)mc::encode_mget_chunk(body.data(), req.req_id, 0, mget_items_, 1, key_count);
+    mget_value_bytes_ = mc::copy_mget_values(mget_items_, body.data() + values_at);
+    body_len = values_at + mget_value_bytes_;
   }
-  if (overflow || index != key_count) {
-    // Reply overflows the slot (or the block was malformed): hand the
-    // whole multiget back to the RPC path, which chunks freely.
-    return seal_response(ring, slot,
-                         ucrp::ResponseHeader{.status = ucrp::RStatus::server_error,
-                                              .req_id = req.req_id},
-                         {});
+  for (mc::ItemHeader* item : mget_items_) {
+    if (item != nullptr) store_->release(item);
   }
-
-  ucrp::MgetChunkHeader chunk;
-  chunk.start_index = 0;
-  chunk.record_count = key_count;
-  chunk.total_chunks = 1;
-  chunk.total_keys = key_count;
-  resp.encode(body.data());
-  chunk.encode(body.data() + ucrp::ResponseHeader::kSize);
-  mget_value_bytes_ = value_bytes;
-  const auto body_len = static_cast<std::uint32_t>(values_at);
-  seal_frame(staging, ring.expected_seq[slot], body_len);
+  // Reply overflows the slot (or the block was malformed): hand the whole
+  // multiget back to the RPC path, which chunks freely.
+  if (body_len == 0) return seal_response(ring, slot, overflow, {});
+  seal_frame(staging, ring.expected_seq[slot], static_cast<std::uint32_t>(body_len));
   return framed_size(body_len);
 }
 
@@ -337,7 +295,7 @@ sim::Task<std::size_t> RingServer::execute(ClientRing& ring, std::uint32_t slot,
     resp.status = ucrp::RStatus::client_error;
     co_return seal_response(ring, slot, resp, {});
   }
-  const auto req = ucrp::RequestHeader::decode(body.data());
+  const auto req = codec::decode<ucrp::RequestHeader>(body.data());
   resp.req_id = req.req_id;
   const std::span<const std::byte> tail = body.subspan(ucrp::RequestHeader::kSize);
   if (tail.size() < req.key_len) {

@@ -61,7 +61,7 @@ struct RingServerConfig {
 
 class RingServer {
  public:
-  /// Registers the bootstrap + wake AM handlers on `runtime` and serves
+  /// Serves the bootstrap call and the wake AM on `runtime` and serves
   /// ops against `store`, billing poll and execute work to `host`.
   RingServer(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& store,
              RingServerConfig config = {});
@@ -95,7 +95,9 @@ class RingServer {
     std::vector<std::uint32_t> expected_seq;  ///< per-slot epoch, starts 1
   };
 
-  void on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req);
+  /// Serve one bootstrap call: (re)build the endpoint's ring and describe
+  /// it, or answer an all-zero descriptor for an unusable proposal.
+  RingDescriptor on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req);
   void ensure_polling();
   sim::Task<> poll_loop();
   /// Execute one verified request frame and seal the response frame into
@@ -139,6 +141,7 @@ class RingServer {
   /// reserved to max_slot_count so steady state never allocates).
   std::vector<std::uint32_t> ready_slots_;
   std::vector<std::size_t> ready_lens_;  ///< sealed frame length per ready slot
+  std::vector<mc::ItemHeader*> mget_items_;  ///< pinned items of the mget in progress
   std::size_t mget_value_bytes_ = 0;     ///< staged bytes of the last mget
 
   obs::Counter* bootstraps_;

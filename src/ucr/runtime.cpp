@@ -31,7 +31,7 @@ constexpr std::uint64_t kTagRead = 2ull << kTagShift;
 constexpr std::uint64_t kTagOneSided = 3ull << kTagShift;
 constexpr std::uint64_t kTagMask = 3ull << kTagShift;
 
-/// Byte offset of AmWire::credits within the encoded header (see encode()).
+/// Byte offset of AmWire::credits within the encoded header (see fields()).
 constexpr std::size_t kCreditsOffset = 1 + 1 + 2 + 2;
 
 std::span<const std::byte> const_span(const std::vector<std::byte>& v) {
@@ -64,6 +64,26 @@ Runtime::Runtime(verbs::Hca& hca, UcrConfig config) : hca_(&hca), config_(config
   // rmclint:allow(zeroalloc): constructor-time freelist fill within the reservation above
   for (std::uint32_t s = 0; s < slots; ++s) free_slots_.push_back(slots - 1 - s);
 
+  // Replies to call(), routed by their trailing call id. The reply of a
+  // call that has ended finds no pending entry and is dropped (its
+  // counter is unexported too, so the fire that follows is a no-op).
+  register_handler(
+      wire::kMsgCallReply,
+      {.on_header = {},
+       .on_complete = [this](Endpoint&, std::span<const std::byte> header,
+                             std::span<std::byte>) {
+         std::uint64_t call_id = 0;
+         if (header.size() < sizeof(call_id)) return;
+         const std::size_t body_len = header.size() - sizeof(call_id);
+         std::memcpy(&call_id, header.data() + body_len, sizeof(call_id));
+         auto it = pending_calls_.find(call_id);
+         if (it == pending_calls_.end() || it->second.answered) return;
+         PendingCall& call = it->second;
+         std::copy_n(header.begin(), std::min(body_len, call.reply.size()), call.reply.begin());
+         call.reply_len = body_len;
+         call.answered = true;
+       }});
+
   scheduler().spawn(recv_progress());
   scheduler().spawn(send_progress());
   // The keepalive prober is perpetual, so it is opt-in: drivers that
@@ -78,6 +98,67 @@ CounterRef Runtime::export_counter(sim::Counter& counter) {
   // rmclint:allow(zeroalloc): counter export happens at connection setup, once per exported counter
   exported_counters_.emplace(id, &counter);
   return CounterRef{id};
+}
+
+sim::Task<Result<std::size_t>> Runtime::call(Endpoint& ep, std::uint16_t msg_id,
+                                             std::span<const std::byte> request,
+                                             std::span<std::byte> reply, sim::Time timeout) {
+  if (request.size() > kMaxCallBody) co_return Errc::too_large;
+  sim::Counter replied(scheduler());
+  const wire::CallHeader call{.call_id = next_call_id_++,
+                              .reply_counter = export_counter(replied).id};
+  pending_calls_[call.call_id] = PendingCall{.reply = reply};
+  // Ends the call on every way out of this frame, destruction while
+  // suspended included (declared after `replied`, so it runs first).
+  struct CallEnd {
+    Runtime* runtime;
+    wire::CallHeader call;
+    ~CallEnd() { runtime->end_call(call.call_id, CounterRef{call.reply_counter}); }
+  } end{this, call};
+
+  std::byte header[wire::CallHeader::kSize + kMaxCallBody];
+  codec::encode(call, header);
+  std::copy(request.begin(), request.end(), header + wire::CallHeader::kSize);
+  const Status sent = send_message(ep, msg_id, {header, wire::CallHeader::kSize + request.size()},
+                                   {}, nullptr, CounterRef{}, nullptr);
+  if (!sent.ok()) co_return sent.error();
+  if (!co_await replied.wait_geq(1, timeout)) co_return Errc::timed_out;
+  const PendingCall& answer = pending_calls_.at(call.call_id);
+  if (!answer.answered) co_return Errc::protocol_error;
+  co_return answer.reply_len;
+}
+
+void Runtime::serve(std::uint16_t msg_id, CallHandler handler) {
+  register_handler(
+      msg_id,
+      {.on_header = {},
+       .on_complete = [this, handler = std::move(handler)](
+                          Endpoint& ep, std::span<const std::byte> header, std::span<std::byte>) {
+         if (header.size() < wire::CallHeader::kSize) return;
+         const auto call = codec::decode<wire::CallHeader>(header.data());
+         std::byte reply[kMaxCallBody + sizeof(call.call_id)];
+         const std::size_t len = handler(ep, header.subspan(wire::CallHeader::kSize),
+                                         std::span<std::byte>(reply, kMaxCallBody));
+         if (len == 0) return;
+         assert(len <= kMaxCallBody);
+         std::memcpy(reply + len, &call.call_id, sizeof(call.call_id));
+         (void)send_message(ep, wire::kMsgCallReply, {reply, len + sizeof(call.call_id)}, {},
+                            nullptr, CounterRef{call.reply_counter}, nullptr);
+       }});
+}
+
+void Runtime::end_call(std::uint64_t call_id, CounterRef reply_counter) {
+  pending_calls_.erase(call_id);
+  auto it = exported_counters_.find(reply_counter.id);
+  if (it == exported_counters_.end()) return;
+  const sim::Counter* counter = it->second;
+  exported_counters_.erase(it);
+  // A fire of it deferred in the current drain must not outlive it either.
+  auto* first = deferred_fires_.begin();
+  deferred_fire_count_ = static_cast<std::size_t>(
+      std::remove_if(first, first + deferred_fire_count_,
+                     [counter](const DeferredFire& f) { return f.counter == counter; }) -
+      first);
 }
 
 void Runtime::register_region(std::span<std::byte> memory) {
@@ -418,7 +499,7 @@ Status Runtime::send_message(Endpoint& ep, std::uint16_t msg_id,
     // allocating branch of the send path; ucr.backlog.stalls counts it.
     obs::registry().counter("ucr.backlog.stalls").inc();
     std::vector<std::byte> packed(packed_len);
-    am.encode(packed.data());
+    codec::encode(am, packed.data());
     if (!header.empty()) {  // an empty span may carry a null data()
       std::memcpy(packed.data() + wire::AmWire::kSize, header.data(), header.size());
     }
@@ -435,7 +516,7 @@ Status Runtime::send_message(Endpoint& ep, std::uint16_t msg_id,
     const std::uint32_t slot = acquire_slot();
     auto buf = slot_span(slot);
     assert(packed_len <= buf.size());
-    am.encode(buf.data());
+    codec::encode(am, buf.data());
     if (!header.empty()) {  // an empty span may carry a null data()
       std::memcpy(buf.data() + wire::AmWire::kSize, header.data(), header.size());
     }
@@ -535,7 +616,7 @@ void Runtime::send_internal(Endpoint& ep, wire::Kind kind, std::uint64_t token,
   // operations, which are themselves credit-bounded). Encode straight
   // into the staging slot; nothing to copy.
   const std::uint32_t slot = acquire_slot();
-  am.encode(slot_span(slot).data());
+  codec::encode(am, slot_span(slot).data());
   transmit_slot(ep, slot, wire::AmWire::kSize);
 }
 
@@ -718,7 +799,7 @@ sim::Task<> Runtime::recv_progress() {
           obs::ProfScope prof{kProfRecvRoute};
           if (ud_qp_ && wc.qp_num == ud_qp_->qp_num()) {
             // Datagram: route by the endpoint id stamped into the AM header.
-            const wire::AmWire am = wire::AmWire::decode(buf.data());
+            const wire::AmWire am = codec::decode<wire::AmWire>(buf.data());
             auto it = ep_by_ud_id_.find(am.dst_ep);
             if (it != ep_by_ud_id_.end()) ep = it->second;
           } else {
@@ -741,7 +822,7 @@ sim::Task<> Runtime::handle_message(Endpoint& ep, std::span<std::byte> buffer,
                                     std::uint32_t len) {
   assert(len >= wire::AmWire::kSize);
   (void)len;
-  const wire::AmWire am = wire::AmWire::decode(buffer.data());
+  const wire::AmWire am = codec::decode<wire::AmWire>(buffer.data());
 
   // Any inbound traffic proves the peer alive.
   ep.last_heard_ = scheduler().now();

@@ -93,6 +93,29 @@ class Runtime {
     handlers_[msg_id] = std::move(handler);
   }
 
+  // ------------------------------------------------- request/reply calls
+  /// One request/reply round trip: the control plane's bootstrap
+  /// handshake. The request AM carries `msg_id`, a wire::CallHeader (a
+  /// fresh call id and an exported reply counter) and `request`; the
+  /// peer's serve() handler answers with [reply body | call id] on
+  /// wire::kMsgCallReply. The pending call lives in this runtime and its
+  /// reply counter is unexported when the call ends, however it ends, so
+  /// a reply landing after a timeout (or twice) is dropped, never adopted.
+  /// On success the reply body sits in `reply`; returns its full length
+  /// (which may exceed reply.size(); the excess is not copied).
+  sim::Task<Result<std::size_t>> call(Endpoint& ep, std::uint16_t msg_id,
+                                      std::span<const std::byte> request,
+                                      std::span<std::byte> reply, sim::Time timeout);
+
+  /// Largest request or reply body a call carries.
+  static constexpr std::size_t kMaxCallBody = 64;
+  /// Answer calls to `msg_id`: the handler writes its reply body into the
+  /// kMaxCallBody-byte span it is given and returns the length written;
+  /// returning 0 sends no reply (a malformed request).
+  using CallHandler = std::function<std::size_t(Endpoint&, std::span<const std::byte> request,
+                                                std::span<std::byte> reply)>;
+  void serve(std::uint16_t msg_id, CallHandler handler);
+
   // -------------------------------------------------------------- memory
   /// Pre-register application memory so rendezvous transfers to/from it
   /// need no on-the-fly registration (e.g. memcached slab arenas, client
@@ -194,6 +217,11 @@ class Runtime {
     sim::Counter* done = nullptr;
     Endpoint* ep = nullptr;
   };
+  struct PendingCall {
+    std::span<std::byte> reply;  ///< caller's reply buffer
+    std::size_t reply_len = 0;
+    bool answered = false;
+  };
   struct PendingTargetRead {
     Endpoint* ep = nullptr;
     std::vector<std::byte> header;  ///< user header, copied out of the buffer
@@ -256,6 +284,9 @@ class Runtime {
   void fire_exported(std::uint64_t counter_id);
   void begin_drain() { ++drain_depth_; }
   void end_drain(std::uint32_t completions);
+  /// Forget a call's pending state and unexport its reply counter,
+  /// dropping any fire of it deferred in the current drain.
+  void end_call(std::uint64_t call_id, CounterRef reply_counter);
   /// Post the chained WRs of the current begin/end_send_batch window.
   void flush_send_batch();
 
@@ -294,12 +325,14 @@ class Runtime {
   std::map<std::uint64_t, PendingTargetRead> pending_reads_;
   std::map<std::uint64_t, PendingOneSided> pending_one_sided_;
   std::map<std::uint64_t, Region> region_cache_;
+  std::unordered_map<std::uint64_t, PendingCall> pending_calls_;  ///< by call id
 
   std::map<std::uint64_t, EndpointDownHandler> down_handlers_;
   std::uint64_t next_down_handler_ = 1;
   bool reap_armed_ = false;
 
   std::uint64_t next_counter_id_ = 1;
+  std::uint64_t next_call_id_ = 1;
   std::uint64_t next_token_ = 1;
   std::uint64_t next_ep_id_ = 1;
 

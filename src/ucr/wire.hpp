@@ -6,9 +6,11 @@
 // messages").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <span>
+#include <tuple>
+
+#include "common/codec.hpp"
 
 namespace rmc::ucr::wire {
 
@@ -42,54 +44,31 @@ struct AmWire {
   std::uint8_t ack_flags = 0;        ///< internal_ack: which counters fired
   std::uint32_t dst_ep = 0;          ///< UD endpoints: target endpoint id
 
-  static constexpr std::size_t kSize = 48;
+  static constexpr std::size_t kSize = 48;  ///< 45 B of fields, zero-padded
 
-  void encode(std::byte* out) const {
-    std::byte buf[kSize] = {};
-    std::size_t o = 0;
-    auto put = [&](const auto& v) {
-      std::memcpy(buf + o, &v, sizeof(v));
-      o += sizeof(v);
-    };
-    put(kind);
-    put(want_flags);
-    put(msg_id);
-    put(header_len);
-    put(credits);
-    put(data_len);
-    put(target_counter);
-    put(token);
-    put(rndz_addr);
-    put(rndz_rkey);
-    put(ack_flags);
-    put(dst_ep);
-    std::memcpy(out, buf, kSize);
-  }
-
-  static AmWire decode(const std::byte* in) {
-    AmWire w;
-    std::size_t o = 0;
-    auto get = [&](auto& v) {
-      std::memcpy(&v, in + o, sizeof(v));
-      o += sizeof(v);
-    };
-    get(w.kind);
-    get(w.want_flags);
-    get(w.msg_id);
-    get(w.header_len);
-    get(w.credits);
-    get(w.data_len);
-    get(w.target_counter);
-    get(w.token);
-    get(w.rndz_addr);
-    get(w.rndz_rkey);
-    get(w.ack_flags);
-    get(w.dst_ep);
-    return w;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.kind, s.want_flags, s.msg_id, s.header_len, s.credits, s.data_len,
+                    s.target_counter, s.token, s.rndz_addr, s.rndz_rkey, s.ack_flags,
+                    s.dst_ep);
   }
 };
 
-static_assert(AmWire::kSize >= 1 + 1 + 2 + 2 + 2 + 4 + 8 + 8 + 8 + 4 + 1 + 4,
-              "wire header fits");
+/// Request/reply calls (Runtime::call / Runtime::serve): the request AM's
+/// user header is CallHeader | request body, and the reply travels back on
+/// kMsgCallReply as reply body | u64 call_id.
+inline constexpr std::uint16_t kMsgCallReply = 0x6dff;
+
+struct CallHeader {
+  std::uint64_t call_id = 0;        ///< names the pending call at the origin
+  std::uint64_t reply_counter = 0;  ///< CounterRef the reply fires at the origin
+
+  static constexpr std::size_t kSize = 16;
+
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.call_id, s.reply_counter);
+  }
+};
 
 }  // namespace rmc::ucr::wire

@@ -392,23 +392,23 @@ TEST(EndToEnd, MalformedMgetChunkFailsTheRequest) {
       ucrp::kMsgRequest,
       {.on_complete = [&bed](ucr::Endpoint& ep, std::span<const std::byte> header,
                              std::span<std::byte>) {
-        const auto req = ucrp::RequestHeader::decode(header.data());
+        const auto req = codec::decode<ucrp::RequestHeader>(header.data());
         if (req.op != ucrp::Op::mget) return;
         std::byte reply[ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize +
                         ucrp::MgetRecord::kSize];
         ucrp::ResponseHeader resp;
         resp.status = ucrp::RStatus::value;
         resp.req_id = req.req_id;
-        resp.encode(reply);
+        codec::encode(resp, reply);
         ucrp::MgetChunkHeader chunk;
         chunk.record_count = 1;
         chunk.total_chunks = 1;
         chunk.total_keys = 1;
-        chunk.encode(reply + ucrp::ResponseHeader::kSize);
+        codec::encode(chunk, reply + ucrp::ResponseHeader::kSize);
         ucrp::MgetRecord rec;
         rec.status = ucrp::RStatus::value;
         rec.value_len = 100;
-        rec.encode(reply + ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize);
+        codec::encode(rec, reply + ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize);
         const std::string carried = "only ten b";
         (void)bed.server_ucr.send_message(ep, ucrp::kMsgResponse, reply, val(carried), nullptr,
                                           ucr::CounterRef{req.reply_counter}, nullptr);

@@ -18,6 +18,7 @@
 #include "memcached/server.hpp"
 #include "obs/metrics.hpp"
 #include "onesided/publisher.hpp"
+#include "onesided/remote_getter.hpp"
 #include "simnet/faults.hpp"
 #include "simnet/netparams.hpp"
 #include "ucr/runtime.hpp"
@@ -296,6 +297,53 @@ TEST(OneSided, NeverServesTornValuesUnderWritersAndLinkLoss) {
   EXPECT_GT(metric("mc.oneside.reads"), 0u);
   // The writer churned through every generation while we read.
   EXPECT_TRUE(writer_done);
+}
+
+// ------------------------------------------------- bootstrap lifetime ----
+//
+// The descriptor fetch is one request/reply call. A reply that lands after
+// its call ended (timeout, or superseded by a retry) belongs to no caller:
+// it must be dropped, never adopted, and must not touch any state the
+// ended call owned.
+
+TEST(OneSided, LateBootstrapReplyDoesNotArmGetter) {
+  OneSidedWorld w;
+  onesided::RemoteGetter getter(w.reader_ucr);
+  w.drive([](OneSidedWorld& wk, onesided::RemoteGetter& g) -> Task<> {
+    auto ep = co_await wk.reader_ucr.connect(wk.server_ucr.addr(), 11211);
+    EXPECT_TRUE(ep.ok());
+    if (!ep.ok()) co_return;
+    // Far shorter than one round trip: the call ends before its reply.
+    EXPECT_EQ((co_await g.bootstrap(**ep, 100)).error(), Errc::timed_out);
+    co_await wk.sched.delay(1_ms);  // the late reply lands in here
+    EXPECT_FALSE(g.ready());
+    auto r = co_await g.try_get(**ep, "alpha");
+    EXPECT_FALSE(r.ok());  // fallback to RPC, no read into unsized scratch
+    EXPECT_FALSE(g.ready());
+  }(w, getter));
+}
+
+TEST(OneSided, RetriedBootstrapDoesNotFireAFreedCounter) {
+  OneSidedWorld w;
+  onesided::RemoteGetter getter(w.reader_ucr);
+  w.drive([](OneSidedWorld& wk, onesided::RemoteGetter& g) -> Task<> {
+    EXPECT_TRUE((co_await wk.writer->connect_all()).ok());
+    EXPECT_TRUE((co_await wk.writer->set("alpha", bytes_view("value-one"), 7)).ok());
+    auto ep = co_await wk.reader_ucr.connect(wk.server_ucr.addr(), 11211);
+    EXPECT_TRUE(ep.ok());
+    if (!ep.ok()) co_return;
+    EXPECT_EQ((co_await g.bootstrap(**ep, 100)).error(), Errc::timed_out);
+    // Retry while the first reply is still in flight: it lands during this
+    // call and must neither complete it nor fire the first call's counter.
+    EXPECT_TRUE((co_await g.bootstrap(**ep, 1_s)).ok());
+    EXPECT_TRUE(g.ready());
+    co_await wk.sched.delay(1_ms);
+    auto hit = co_await g.try_get(**ep, "alpha");
+    EXPECT_TRUE(hit.ok());
+    if (hit.ok()) {
+      EXPECT_EQ(hit->flags, 7u);
+    }
+  }(w, getter));
 }
 
 }  // namespace

@@ -47,43 +47,58 @@ TEST(RfpFrame, SealReadRoundTripEpochsAndTearing) {
   std::span<const std::byte> body;
 
   // A zeroed slot is empty for a consumer at epoch 1 (seq 0 != 1).
-  EXPECT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::empty);
+  EXPECT_EQ(read_frame(slot, 1, body), FrameState::empty);
 
-  std::span<std::byte> payload = rfp::frame_body(slot);
+  std::span<std::byte> payload = frame_body(slot);
   for (int i = 0; i < 32; ++i) payload[i] = static_cast<std::byte>(i);
-  rfp::seal_frame(slot, 1, 32);
+  seal_frame(slot, 1, 32);
 
-  ASSERT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::ready);
+  ASSERT_EQ(read_frame(slot, 1, body), FrameState::ready);
   EXPECT_EQ(body.size(), 32u);
   EXPECT_EQ(body.data(), payload.data());  // aliases the slot, no copy
 
   // Epoch advance makes the same bytes invisible — reuse needs no clear.
-  EXPECT_EQ(rfp::read_frame(slot, 2, body), rfp::FrameState::empty);
+  EXPECT_EQ(read_frame(slot, 2, body), FrameState::empty);
 
   // A body byte flipped while carrying the expected seq = torn, not ready.
   payload[5] ^= std::byte{0xff};
-  EXPECT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::torn);
+  EXPECT_EQ(read_frame(slot, 1, body), FrameState::torn);
   payload[5] ^= std::byte{0xff};
-  EXPECT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::ready);
+  EXPECT_EQ(read_frame(slot, 1, body), FrameState::ready);
 
   // A missing tail (header landed, tail not yet) = torn as well.
   const std::uint32_t zero = 0;
-  std::memcpy(slot.data() + rfp::FrameHeader::kSize + 32, &zero, sizeof(zero));
-  EXPECT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::torn);
+  std::memcpy(slot.data() + FrameHeader::kSize + 32, &zero, sizeof(zero));
+  EXPECT_EQ(read_frame(slot, 1, body), FrameState::torn);
+}
+
+// Slot epochs are u32 counters advanced by one per op, so they wrap: the
+// epoch after 0xffffffff is 0, and it must verify like any other.
+TEST(RfpFrame, EpochWrapToZeroIsAnOrdinaryEpoch) {
+  std::vector<std::byte> slot(128);
+  std::span<const std::byte> body;
+  seal_frame(slot, 0xffffffffu, 8);
+  ASSERT_EQ(read_frame(slot, 0xffffffffu, body), FrameState::ready);
+  EXPECT_EQ(read_frame(slot, 0, body), FrameState::empty);
+
+  frame_body(slot)[0] = std::byte{0x5a};
+  seal_frame(slot, 0, 8);
+  ASSERT_EQ(read_frame(slot, 0, body), FrameState::ready);
+  EXPECT_EQ(body.size(), 8u);
+  EXPECT_EQ(body[0], std::byte{0x5a});
+  EXPECT_EQ(read_frame(slot, 0xffffffffu, body), FrameState::empty);
 }
 
 TEST(RfpFrame, BootstrapStructsRoundTripAndValidity) {
   rfp::BootstrapRequest req;
-  req.cookie = 0xabcdef;
-  req.reply_counter = 42;
   req.response_ring = {0x1000, 7, 4096};
   req.slot_count = 16;
   req.slot_size = 2048;
   std::byte buf[rfp::BootstrapRequest::kSize];
-  req.encode(buf);
-  const auto back = rfp::BootstrapRequest::decode(buf);
-  EXPECT_EQ(back.cookie, req.cookie);
+  codec::encode(req, buf);
+  const auto back = codec::decode<rfp::BootstrapRequest>(buf);
   EXPECT_EQ(back.response_ring.addr, req.response_ring.addr);
+  EXPECT_EQ(back.response_ring.length, 4096u);
   EXPECT_EQ(back.slot_count, 16u);
 
   rfp::RingDescriptor d;
@@ -93,6 +108,121 @@ TEST(RfpFrame, BootstrapStructsRoundTripAndValidity) {
   EXPECT_TRUE(d.valid());
   d.slot_size = 8;  // can't even frame an empty body
   EXPECT_FALSE(d.valid());
+}
+
+// ------------------------------------------------- wire byte pinning ----
+
+std::string hex(std::span<const std::byte> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::byte b : bytes) {
+    out += kDigits[std::to_integer<unsigned>(b) >> 4];
+    out += kDigits[std::to_integer<unsigned>(b) & 0xf];
+  }
+  return out;
+}
+
+template <class T>
+std::string encoded_hex(const T& v) {
+  std::byte buf[T::kSize];
+  codec::encode(v, buf);
+  return hex(buf);
+}
+
+// A bootstrap call's headers as ucr::Runtime::call frames them: the
+// request is CallHeader | body, the reply is body | u64 call id.
+std::string call_request_hex(std::uint64_t call_id, std::uint64_t reply_counter,
+                             const std::string& body_hex) {
+  return encoded_hex(ucr::wire::CallHeader{call_id, reply_counter}) + body_hex;
+}
+
+template <class T>
+std::string call_reply_hex(const T& body, std::uint64_t call_id) {
+  return encoded_hex(body) + hex(std::as_bytes(std::span{&call_id, 1}));
+}
+
+// Every wire struct encoded from fixed, pairwise-distinct field values and
+// compared against its captured bytes: a reordered, resized or re-typed
+// field changes the hex even when a round trip would still pass.
+TEST(WireBytes, EveryWireStructEncodesToItsPinnedBytes) {
+  const ucr::wire::AmWire am{.kind = ucr::wire::Kind::rendezvous,
+                             .want_flags = 0x03,
+                             .msg_id = 0x6d01,
+                             .header_len = 0x0102,
+                             .credits = 0x0304,
+                             .data_len = 0x05060708,
+                             .target_counter = 0x1112131415161718,
+                             .token = 0x2122232425262728,
+                             .rndz_addr = 0x3132333435363738,
+                             .rndz_rkey = 0x41424344,
+                             .ack_flags = 0x02,
+                             .dst_ep = 0x51525354};
+  const ucrp::RequestHeader req{.op = ucrp::Op::cas,
+                                .key_len = 0x0a0b,
+                                .flags = 0x0c0d0e0f,
+                                .exptime = 0x10111213,
+                                .cas = 0x2021222324252627,
+                                .delta = 0x3031323334353637,
+                                .req_id = 0x4041424344454647,
+                                .reply_counter = 0x5051525354555657};
+  const ucrp::ResponseHeader resp{.status = ucrp::RStatus::number,
+                                  .flags = 0x0a0b0c0d,
+                                  .cas = 0x1011121314151617,
+                                  .number = 0x2021222324252627,
+                                  .req_id = 0x3031323334353637};
+  const ucrp::MgetChunkHeader chunk{.start_index = 0x01020304,
+                                    .record_count = 0x11121314,
+                                    .total_chunks = 0x21222324,
+                                    .total_keys = 0x31323334};
+  const ucrp::MgetRecord rec{.status = ucrp::RStatus::value,
+                             .flags = 0x0a0b0c0d,
+                             .cas = 0x1011121314151617,
+                             .value_len = 0x21222324};
+  onesided::IndexDescriptor index;
+  index.index = {0x0102030405060708, 0x11121314, 0x21222324};
+  index.arena = {0x3132333435363738, 0x41424344, 0x51525354};
+  index.bucket_count = 0x61626364;
+  index.ways = 0x71727374;
+  index.slot_size = 0x81828384;
+  rfp::RingDescriptor ring;
+  ring.request_ring = {0x0102030405060708, 0x11121314, 0x21222324};
+  ring.slot_count = 0x31323334;
+  ring.slot_size = 0x41424344;
+  ring.park_after_ns = 0x5152535455565758;
+  rfp::BootstrapRequest ring_req;
+  ring_req.response_ring = {0x2122232425262728, 0x31323334, 0x41424344};
+  ring_req.slot_count = 0x51525354;
+  ring_req.slot_size = 0x61626364;
+
+  const struct {
+    const char* name;
+    std::string actual;
+    const char* expected;
+  } cases[] = {
+      {"AmWire", encoded_hex(am),
+       "0103016d0201040308070605181716151413121128272625"
+       "242322213837363534333231444342410254535251000000"},
+      {"RequestHeader", encoded_hex(req),
+       "070b0a0f0e0d0c131211102726252423222120373635343332313047464544434241405756555453525150"},
+      {"ResponseHeader", encoded_hex(resp),
+       "070d0c0b0a171615141312111027262524232221203736353433323130"},
+      {"MgetChunkHeader", encoded_hex(chunk),
+       "04030201141312112423222134333231"},
+      {"MgetRecord", encoded_hex(rec),
+       "080d0c0b0a171615141312111024232221"},
+      {"IndexDescriptor", call_reply_hex(index, 0x9192939495969798),
+       "0807060504030201141312112423222138373635343332314443"
+       "4241545352516463626174737271848382819897969594939291"},
+      {"onesided bootstrap request",
+       call_request_hex(0x0102030405060708, 0x1112131415161718, ""),
+       "08070605040302011817161514131211"},
+      {"RingDescriptor", call_reply_hex(ring, 0x6162636465666768),
+       "08070605040302011413121124232221343332314443424158575655545352516867666564636261"},
+      {"rfp bootstrap request",
+       call_request_hex(0x0102030405060708, 0x1112131415161718, encoded_hex(ring_req)),
+       "08070605040302011817161514131211282726252423222134333231444342415453525164636261"},
+  };
+  for (const auto& c : cases) EXPECT_EQ(c.actual, c.expected) << c.name;
 }
 
 // -------------------------------------------------------------- worlds ----
@@ -211,10 +341,10 @@ struct ChannelWorld {
 /// are consistent but one body byte is flipped after checksumming, so any
 /// consumer expecting `seq` reads torn until a genuine frame lands.
 void forge_torn_frame(std::span<std::byte> slot, std::uint32_t seq) {
-  std::span<std::byte> body = rfp::frame_body(slot);
+  std::span<std::byte> body = frame_body(slot);
   const std::uint32_t body_len = 24;
   for (std::uint32_t i = 0; i < body_len; ++i) body[i] = static_cast<std::byte>(0x5a);
-  rfp::seal_frame(slot, seq, body_len);
+  seal_frame(slot, seq, body_len);
   body[3] ^= std::byte{0xff};
 }
 
@@ -667,6 +797,50 @@ TEST(Rfp, PollLoopParksWhenIdleAndWakesForTheNextOp) {
 
   EXPECT_GT(metric("mc.rfp.poll.parks") - parks0, 0u);
   EXPECT_GT(metric("mc.rfp.wakes") - wakes0, 0u);
+}
+
+// ------------------------------------------------- bootstrap lifetime ----
+//
+// The ring exchange is one request/reply call. A reply that lands after
+// its call ended (timeout, or superseded by a retry) must be dropped,
+// never adopted, and must not touch any state the ended call owned.
+
+TEST(Rfp, LateBootstrapReplyDoesNotArmChannel) {
+  ChannelWorld w;
+  w.drive([](ChannelWorld& wk) -> Task<> {
+    auto r = co_await wk.client_ucr.connect(wk.server_ucr.addr(), 11211);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) co_return;
+    wk.ep = *r;
+    EXPECT_EQ((co_await wk.channel->bootstrap(*wk.ep, 100)).error(), Errc::timed_out);
+    co_await wk.sched.delay(1_ms);  // the late reply lands in here
+    EXPECT_FALSE(wk.channel->ready());
+    EXPECT_FALSE(wk.channel->descriptor().valid());
+    auto op = co_await wk.raw_get("alpha");
+    EXPECT_FALSE(op.ok());  // fallback to RPC
+  }(w));
+}
+
+TEST(Rfp, RetriedBootstrapDoesNotFireAFreedCounter) {
+  ChannelWorld w;
+  w.drive([](ChannelWorld& wk) -> Task<> {
+    auto r = co_await wk.client_ucr.connect(wk.server_ucr.addr(), 11211);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) co_return;
+    wk.ep = *r;
+    EXPECT_EQ((co_await wk.channel->bootstrap(*wk.ep, 100)).error(), Errc::timed_out);
+    // Retry while the first reply is still in flight: it lands during this
+    // call and must neither complete it nor fire the first call's counter.
+    EXPECT_TRUE((co_await wk.channel->bootstrap(*wk.ep, 1 * kNsPerSec)).ok());
+    EXPECT_TRUE(wk.channel->ready());
+    co_await wk.sched.delay(1_ms);
+    auto set = co_await wk.raw_set("alpha", "value-one");
+    EXPECT_TRUE(set.ok());
+    if (set.ok()) {
+      EXPECT_EQ(set->header.status, ucrp::RStatus::stored);
+      wk.channel->release(set->slot);
+    }
+  }(w));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Fixture: seqlock-discipline violations — direct writes to guarded
-// frame/index fields outside the blessed protocol helpers.
-#include "rfp/layout.hpp"
+// frame/index fields outside the one sealer and the epoch writers.
+#include "common/frame.hpp"
 
 #include <cstdint>
 #include <cstring>
@@ -26,6 +26,11 @@ void publish_frame(FrameHeader& hdr, std::uint32_t epoch) {
 
 void bump(Ring& ring, std::uint32_t slot) {
   ring.expected_seq[slot] += 1;
+}
+
+// A response framer is not a sealer: it must hand the stamp to seal_frame.
+void seal_response(FrameHeader& hdr, std::uint32_t epoch) {
+  hdr.seq = epoch;
 }
 
 }  // namespace fx

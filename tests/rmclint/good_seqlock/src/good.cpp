@@ -1,7 +1,7 @@
 // Fixture: seqlock writes the discipline pass must accept — mutations
-// inside the blessed protocol helpers, plus a justified suppression for
-// an initialization no reader can race.
-#include "rfp/layout.hpp"
+// inside the one sealer and an epoch writer, plus a justified suppression
+// for an initialization no reader can race.
+#include "common/frame.hpp"
 
 #include <cstdint>
 #include <vector>
@@ -18,8 +18,8 @@ struct Ring {
   std::vector<std::uint32_t> expected_seq;
 };
 
-// Blessed by name: this IS the protocol — body first, checksum second,
-// seq stamp last.
+// Blessed by name: the one sealer IS the protocol — body first, checksum
+// second, seq stamp last.
 void seal_frame(FrameHeader& hdr, std::uint32_t epoch, std::uint32_t sum) {
   hdr.checksum = sum;
   hdr.seq = epoch;

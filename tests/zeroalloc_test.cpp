@@ -26,13 +26,17 @@ namespace {
 long long g_news = 0;
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The three bodies that touch malloc/free stay out of line, and every
+// other overload forwards to them. Once inlined into a caller, GCC 12
+// pairs the malloc of one with the operator call (or free) of the other
+// and reports -Wmismatched-new-delete on what is a matched new/delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_news;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return operator new(n); }
-void* operator new(std::size_t n, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t align) {
   ++g_news;
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                    (n + static_cast<std::size_t>(align) - 1) &
@@ -42,14 +46,14 @@ void* operator new(std::size_t n, std::align_val_t align) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n, std::align_val_t align) { return operator new(n, align); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete(void* p, std::align_val_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { operator delete(p); }
 
 namespace rmc::mc {
 namespace {

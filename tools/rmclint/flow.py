@@ -26,14 +26,14 @@ coro-lifetime
   after the enclosing frame is gone.
 
 seqlock-discipline
-  The one-sided index (onesided/layout.hpp) and the RFP ring frames
-  (rfp/layout.hpp) are seqlock protocols: field write ORDER is the
-  correctness argument. Every mutation of a guarded field (seq,
-  seq_back, checksum, version pairs, index-entry fields, the server's
-  expected_seq epochs) must go through the blessed helpers that encode
-  the protocol; a direct write anywhere else is a finding. The pass is
-  scoped to files that can see the guarded types (src/rfp/,
-  src/onesided/, or anything including their layout headers).
+  The seqlock frame (common/frame.hpp) that carries the RFP ring slots
+  and the one-sided index records, and the one-sided bucket entries, are
+  protocols where field write ORDER is the correctness argument. Every
+  mutation of a guarded field (frame seq and checksum, slot versions,
+  index-entry fields, the ring epochs) must go through the one sealer or
+  an epoch writer; a direct write anywhere else is a finding. The pass
+  is scoped to the frame header itself, the two subsystems that use it
+  (src/rfp/, src/onesided/), and any file that includes it.
 """
 
 from __future__ import annotations
@@ -348,19 +348,16 @@ def check_coro_lifetime(project: Project) -> list[Finding]:
 
 # Functions allowed to mutate seqlock-guarded state: they ARE the protocol.
 BLESSED_WRITERS = {
-    "seal_frame",     # rfp/layout.hpp: header + checksum + tail stamp
-    "seal",           # onesided BucketEntry::seal
-    "seal_response",  # RingServer response framing (calls seal_frame)
-    "release",        # Channel slot epoch close
-    "release_slot",   # RingServer request epoch advance
-    "reclaim_lost",   # Channel lost-slot epoch close
-    "publish",        # Publisher record + entry write protocol
-    "retract",        # Publisher odd-epoch tombstone
+    "seal_frame",     # common/frame.hpp: the one sealer (body, checksum, seq pair)
+    "publish",        # Publisher: fresh even slot version + bucket entry
+    "retract",        # Publisher: odd version over the record's front seq
+    "release",        # Channel: slot epoch close
+    "reclaim_lost",   # Channel: lost-slot epoch close
+    "release_slot",   # RingServer: request epoch advance
 }
 
 _GUARDED_FIELDS = (
-    "seq", "seq_back", "version", "version_front", "version_back",
-    "checksum", "check", "tag", "arena_offset", "record_len",
+    "seq", "version", "checksum", "check", "tag", "arena_offset", "record_len",
 )
 _FIELD_WRITE_RE = re.compile(
     r"(?:\.|->)\s*(?:" + "|".join(_GUARDED_FIELDS) + r")\b\s*"
@@ -374,13 +371,13 @@ _EXPECTED_SEQ_RE = re.compile(
 _MEMCPY_GUARDED_RE = re.compile(
     r"\bmemcpy\s*\(\s*(?:\w+(?:\.|->))*(?:entry_at|record_at)\s*\("
 )
-_LAYOUT_INCLUDE_RE = re.compile(r'#\s*include\s*"(?:rfp|onesided)/layout\.hpp"')
+_FRAME_INCLUDE_RE = re.compile(r'#\s*include\s*"common/frame\.hpp"')
 
 
 def _sees_guarded_types(sf: SourceFile) -> bool:
-    if sf.rel.startswith(("src/rfp/", "src/onesided/")):
+    if sf.rel == "src/common/frame.hpp" or sf.rel.startswith(("src/rfp/", "src/onesided/")):
         return True
-    return bool(_LAYOUT_INCLUDE_RE.search(sf.text))
+    return bool(_FRAME_INCLUDE_RE.search(sf.text))
 
 
 def check_seqlock_discipline(project: Project) -> list[Finding]:
