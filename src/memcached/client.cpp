@@ -23,46 +23,6 @@ namespace {
 const std::uint16_t kProfClientBuild =
     obs::profiler().register_scope("prof.mc.client.build", obs::ScopeKind::payload);
 
-proto::Command storage_command(SetMode mode) {
-  switch (mode) {
-    case SetMode::set: return proto::Command::set;
-    case SetMode::add: return proto::Command::add;
-    case SetMode::replace: return proto::Command::replace;
-    case SetMode::append: return proto::Command::append;
-    case SetMode::prepend: return proto::Command::prepend;
-    case SetMode::cas: return proto::Command::cas;
-  }
-  return proto::Command::set;
-}
-
-ucrp::Op storage_op(SetMode mode) {
-  switch (mode) {
-    case SetMode::set: return ucrp::Op::set;
-    case SetMode::add: return ucrp::Op::add;
-    case SetMode::replace: return ucrp::Op::replace;
-    case SetMode::append: return ucrp::Op::append;
-    case SetMode::prepend: return ucrp::Op::prepend;
-    case SetMode::cas: return ucrp::Op::cas;
-  }
-  return ucrp::Op::set;
-}
-
-Status status_from(proto::Response::Type type) {
-  using Type = proto::Response::Type;
-  switch (type) {
-    case Type::stored:
-    case Type::deleted:
-    case Type::touched:
-    case Type::ok:
-      return {};
-    case Type::not_stored: return Errc::not_stored;
-    case Type::exists: return Errc::exists;
-    case Type::not_found: return Errc::not_found;
-    case Type::client_error: return Errc::invalid_argument;
-    default: return Errc::protocol_error;
-  }
-}
-
 /// Sim-time spans decomposing one client operation into the paper's
 /// stages: build (request format + issue), wait (fabric + server turn-
 /// around), complete (reply decode + result copy). Stamps are adjacent,
@@ -100,44 +60,21 @@ const LatencySpans& mget_spans() {
   return s;
 }
 
-Status status_from(ucrp::RStatus status) {
-  switch (status) {
-    case ucrp::RStatus::ok:
-    case ucrp::RStatus::stored:
-    case ucrp::RStatus::deleted:
-    case ucrp::RStatus::touched:
-    case ucrp::RStatus::value:
-    case ucrp::RStatus::number:
-      return {};
-    case ucrp::RStatus::not_stored: return Errc::not_stored;
-    case ucrp::RStatus::exists: return Errc::exists;
-    case ucrp::RStatus::not_found: return Errc::not_found;
-    case ucrp::RStatus::client_error: return Errc::invalid_argument;
-    case ucrp::RStatus::server_error: return Errc::no_resources;
-  }
-  return Errc::protocol_error;
+/// A served reply as the caller's Status.
+Status status(const Result<Reply>& reply) {
+  return reply.ok() ? Status{} : Status{reply.error()};
 }
+
+bool get_family(Op op) { return op == Op::get || op == Op::gets; }
+
+/// Keys past memcached's limit fail before any wire sees them.
+bool long_key(std::string_view key) { return key.size() > proto::Request::kMaxKeyLen; }
 
 }  // namespace
 
-sim::Task<Result<GetIntoResult>> ServerConn::get_into(std::string_view key,
-                                                      std::span<std::byte> dest,
-                                                      bool with_cas) {
-  // Generic fallback: fetch a Value and copy it into the caller's buffer.
-  auto r = co_await get(key, with_cas);
-  if (!r.ok()) co_return r.error();
-  if (r->data.size() > dest.size()) co_return Errc::too_large;
-  std::memcpy(dest.data(), r->data.data(), r->data.size());
-  GetIntoResult out;
-  out.value_len = static_cast<std::uint32_t>(r->data.size());
-  out.flags = r->flags;
-  out.cas = r->cas;
-  co_return out;
-}
-
 sim::Task<Status> ServerConn::mget_into(std::span<const std::string_view> keys,
                                         std::span<MgetSlot> slots, bool with_cas) {
-  // Generic fallback: one get() per key. Values land only when the caller
+  // Generic fallback: one GET per key. Values land only when the caller
   // provided a `dest` large enough — this transport has no stable internal
   // storage to point `value` at once the per-key Value dies.
   if (keys.size() > slots.size()) co_return Errc::invalid_argument;
@@ -145,182 +82,33 @@ sim::Task<Status> ServerConn::mget_into(std::span<const std::string_view> keys,
     MgetSlot& slot = slots[i];
     slot.hit = false;
     slot.value = {};
-    auto r = co_await get(keys[i], with_cas);
-    if (!r.ok()) {
-      if (r.error() == Errc::not_found) continue;
-      co_return r.error();
-    }
-    slot.value_len = static_cast<std::uint32_t>(r->data.size());
-    slot.flags = r->flags;
-    slot.cas = r->cas;
+    proto::Value value;
+    Sink sink{.value = &value};
+    const Command cmd{.op = with_cas ? Op::gets : Op::get, .key = keys[i]};
+    auto reply = co_await execute(cmd, sink);
+    if (!reply.ok()) co_return reply.error();
+    if (reply->code == Code::not_found) continue;
+    if (const Errc e = caller_errc(cmd.op, reply->code); e != Errc::ok) co_return e;
+    slot.value_len = sink.len;
+    slot.flags = reply->flags;
+    slot.cas = reply->cas;
     slot.hit = true;
-    if (r->data.size() <= slot.dest.size()) {
-      std::memcpy(slot.dest.data(), r->data.data(), r->data.size());
-      slot.value = std::span<const std::byte>(slot.dest.data(), r->data.size());
+    if (value.data.size() <= slot.dest.size()) {
+      std::memcpy(slot.dest.data(), value.data.data(), value.data.size());
+      slot.value = std::span<const std::byte>(slot.dest.data(), value.data.size());
     }
   }
   co_return Status{};
 }
 
-// ---------------------------------------------------------------- text --
+// ------------------------------------------------------------- streams --
 
-class TextConn final : public ServerConn {
+/// What the socket wires share: connect, liveness, and request/reply
+/// exchanges over the byte stream. `Parser` frames the replies.
+template <class Parser, class Response>
+class StreamConn : public ServerConn {
  public:
-  TextConn(sim::Scheduler& sched, sim::Host& host, const ClientBehavior& behavior,
-           sock::NetStack& stack, sim::NicAddr addr, std::uint16_t port)
-      : sched_(&sched), host_(&host), behavior_(behavior), stack_(&stack), addr_(addr),
-        port_(port) {}
-
-  sim::Task<Status> connect() override {
-    auto r = co_await stack_->connect(addr_, port_);
-    if (!r.ok()) co_return r.error();
-    socket_ = *r;
-    co_return Status{};
-  }
-
-  bool alive() const override {
-    return socket_ && socket_->state() == sock::SockState::established;
-  }
-
-  sim::Task<Result<proto::Value>> get(std::string_view key, bool with_cas) override {
-    // Stream conns have no build/wait boundary (one buffered round trip),
-    // so only the end-to-end span is recorded.
-    const sim::Time t0 = sched_->now();
-    std::vector<std::string> keys{std::string(key)};
-    auto r = co_await mget(keys, with_cas);
-    if (!r.ok()) co_return r.error();
-    if (!(*r)[0].has_value()) co_return Errc::not_found;
-    get_spans().total->record(sched_->now() - t0);
-    co_return std::move(*(*r)[0]);
-  }
-
-  sim::Task<Result<std::vector<std::optional<proto::Value>>>> mget(
-      std::span<const std::string> keys, bool with_cas) override {
-    if (!alive()) co_return Errc::disconnected;
-    proto::Request req;
-    req.command = with_cas ? proto::Command::gets : proto::Command::get;
-    for (const auto& k : keys) {
-      if (!req.add_key(k)) co_return Errc::invalid_argument;
-    }
-    auto resp = co_await round_trip(req, proto::ResponseParser::Expect::values);
-    if (!resp.ok()) co_return resp.error();
-
-    std::vector<std::optional<proto::Value>> out(keys.size());
-    std::size_t copied_bytes = 0;
-    for (auto& value : resp->values) {
-      copied_bytes += value.data.size();
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (keys[i] == value.key && !out[i]) {
-          out[i] = std::move(value);
-          break;
-        }
-      }
-    }
-    co_await host_->cpu().consume(static_cast<sim::Time>(
-        static_cast<double>(copied_bytes) * behavior_.result_copy_ns_per_byte));
-    co_return out;
-  }
-
-  sim::Task<Status> store(SetMode mode, std::string_view key,
-                          std::span<const std::byte> value, std::uint32_t flags,
-                          std::uint32_t exptime, std::uint64_t cas) override {
-    if (!alive()) co_return Errc::disconnected;
-    proto::Request req;
-    req.command = storage_command(mode);
-    req.set_key(key);
-    req.flags = flags;
-    req.exptime = exptime;
-    req.cas_unique = cas;
-    req.data.assign(value.begin(), value.end());
-    const sim::Time t0 = sched_->now();
-    auto resp = co_await round_trip(req, proto::ResponseParser::Expect::simple);
-    if (!resp.ok()) co_return resp.error();
-    set_spans().total->record(sched_->now() - t0);
-    co_return status_from(resp->type);
-  }
-
-  sim::Task<Status> del(std::string_view key) override {
-    if (!alive()) co_return Errc::disconnected;
-    proto::Request req;
-    req.command = proto::Command::del;
-    req.set_key(key);
-    auto resp = co_await round_trip(req, proto::ResponseParser::Expect::simple);
-    if (!resp.ok()) co_return resp.error();
-    co_return status_from(resp->type);
-  }
-
-  sim::Task<Result<std::uint64_t>> arith(std::string_view key, std::uint64_t delta,
-                                         bool decrement) override {
-    if (!alive()) co_return Errc::disconnected;
-    proto::Request req;
-    req.command = decrement ? proto::Command::decr : proto::Command::incr;
-    req.set_key(key);
-    req.delta = delta;
-    auto resp = co_await round_trip(req, proto::ResponseParser::Expect::number);
-    if (!resp.ok()) co_return resp.error();
-    if (resp->type == proto::Response::Type::number) co_return resp->number;
-    const Status st = status_from(resp->type);
-    co_return st.ok() ? Errc::protocol_error : st.error();
-  }
-
-  sim::Task<Status> touch(std::string_view key, std::uint32_t exptime) override {
-    if (!alive()) co_return Errc::disconnected;
-    proto::Request req;
-    req.command = proto::Command::touch;
-    req.set_key(key);
-    req.exptime = exptime;
-    auto resp = co_await round_trip(req, proto::ResponseParser::Expect::simple);
-    if (!resp.ok()) co_return resp.error();
-    co_return status_from(resp->type);
-  }
-
-  sim::Task<Status> flush_all() override {
-    if (!alive()) co_return Errc::disconnected;
-    proto::Request req;
-    req.command = proto::Command::flush_all;
-    auto resp = co_await round_trip(req, proto::ResponseParser::Expect::simple);
-    if (!resp.ok()) co_return resp.error();
-    co_return status_from(resp->type);
-  }
-
- private:
-  sim::Task<Result<proto::Response>> round_trip(const proto::Request& request,
-                                                proto::ResponseParser::Expect expect) {
-    co_await host_->cpu().consume(behavior_.format_ns);
-    const auto bytes = proto::encode_request(request);
-    auto sent = co_await socket_->send(bytes);
-    if (!sent.ok()) co_return sent.error();
-
-    std::vector<std::byte> chunk(16 * 1024);
-    while (true) {
-      auto parsed = parser_.next(expect);
-      if (!parsed.ok()) co_return parsed.error();
-      if (parsed->has_value()) co_return std::move(**parsed);
-      auto n = co_await socket_->recv(chunk);
-      if (!n.ok()) co_return n.error();
-      if (*n == 0) co_return Errc::disconnected;
-      parser_.feed(std::span<const std::byte>(chunk.data(), *n));
-    }
-  }
-
-  sim::Scheduler* sched_;
-  sim::Host* host_;
-  ClientBehavior behavior_;
-  sock::NetStack* stack_;
-  sim::NicAddr addr_;
-  std::uint16_t port_;
-  sock::Socket* socket_ = nullptr;
-  proto::ResponseParser parser_;
-};
-
-// -------------------------------------------------------------- binary --
-
-/// ServerConn speaking the memcached binary protocol over a byte stream
-/// (ClientBehavior::binary_protocol). Multi-get uses the pipelined
-/// getkq...noop pattern real binary clients use.
-class BinaryConn final : public ServerConn {
- public:
-  BinaryConn(sim::Scheduler& sched, sim::Host& host, const ClientBehavior& behavior,
+  StreamConn(sim::Scheduler& sched, sim::Host& host, const ClientBehavior& behavior,
              sock::NetStack& stack, sim::NicAddr addr, std::uint16_t port)
       : sched_(&sched), host_(&host), behavior_(behavior), stack_(&stack), addr_(addr),
         port_(port) {}
@@ -336,30 +124,202 @@ class BinaryConn final : public ServerConn {
     return socket_ && socket_->state() == sock::SockState::established;
   }
 
-  sim::Task<Result<proto::Value>> get(std::string_view key, bool /*with_cas*/) override {
+ protected:
+  /// Charge the request marshalling (format_ns) and send `request`.
+  sim::Task<Status> send(std::span<const std::byte> request) {
+    co_await host_->cpu().consume(behavior_.format_ns);
+    auto sent = co_await socket_->send(request);
+    if (!sent.ok()) co_return sent.error();
+    co_return Status{};
+  }
+
+  /// Read the next reply off the stream (`expect`: the text parser's
+  /// reply shape; the binary parser takes none).
+  template <class... Expect>
+  sim::Task<Result<Response>> receive(Expect... expect) {
+    std::vector<std::byte> chunk(16 * 1024);
+    while (true) {
+      auto parsed = parser_.next(expect...);
+      if (!parsed.ok()) co_return parsed.error();
+      if (parsed->has_value()) co_return std::move(**parsed);
+      auto n = co_await socket_->recv(chunk);
+      if (!n.ok()) co_return n.error();
+      if (*n == 0) co_return Errc::disconnected;
+      parser_.feed(std::span<const std::byte>(chunk.data(), *n));
+    }
+  }
+
+  template <class... Expect>
+  sim::Task<Result<Response>> round_trip(std::span<const std::byte> request, Expect... expect) {
+    auto sent = co_await send(request);
+    if (!sent.ok()) co_return sent.error();
+    co_return co_await receive(expect...);
+  }
+
+  /// Charge copying `bytes` of reply values into the caller's result.
+  auto charge_copy(std::size_t bytes) {
+    return host_->cpu().consume(static_cast<sim::Time>(static_cast<double>(bytes) *
+                                                       behavior_.result_copy_ns_per_byte));
+  }
+
+  /// Land a GET hit's bytes in `sink`: moved into its Value, or copied
+  /// into its buffer.
+  static Status land(Sink& sink, std::vector<std::byte>& data) {
+    sink.len = static_cast<std::uint32_t>(data.size());
+    if (sink.value != nullptr) {
+      sink.value->data = std::move(data);
+      return {};
+    }
+    if (data.size() > sink.dest.size()) return Errc::too_large;
+    std::memcpy(sink.dest.data(), data.data(), data.size());
+    return {};
+  }
+
+  sim::Scheduler* sched_;
+  sim::Host* host_;
+  ClientBehavior behavior_;
+  sock::NetStack* stack_;
+  sim::NicAddr addr_;
+  std::uint16_t port_;
+  sock::Socket* socket_ = nullptr;
+  Parser parser_;
+};
+
+// ---------------------------------------------------------------- text --
+
+class TextConn final : public StreamConn<proto::ResponseParser, proto::Response> {
+ public:
+  using StreamConn::StreamConn;
+
+  sim::Task<Result<Reply>> execute(const Command& cmd, Sink& sink) override {
+    if (!alive()) co_return Errc::disconnected;
+    // Stream conns have no build/wait boundary (one buffered round trip),
+    // so only the end-to-end spans are recorded.
+    const sim::Time t0 = sched_->now();
+    auto resp = co_await round_trip(proto::encode_request(request(cmd)), expect(cmd.op));
+    if (!resp.ok()) co_return resp.error();
+    Reply reply{.code = text_code(*resp), .number = resp->number};
+    if (get_family(cmd.op)) {
+      std::size_t copied = 0;
+      for (const auto& value : resp->values) copied += value.data.size();
+      co_await charge_copy(copied);
+      if (reply.code != Code::value) co_return reply;
+      get_spans().total->record(sched_->now() - t0);
+      proto::Value& hit = resp->values.front();
+      reply.flags = hit.flags;
+      reply.cas = hit.cas;
+      const Status landed = land(sink, hit.data);
+      if (!landed.ok()) co_return landed.error();
+    } else if (ucrp::is_storage(cmd.op)) {
+      set_spans().total->record(sched_->now() - t0);
+    }
+    co_return reply;
+  }
+
+  sim::Task<Result<std::vector<std::optional<proto::Value>>>> mget(
+      std::span<const std::string> keys, bool with_cas) override {
+    if (!alive()) co_return Errc::disconnected;
+    proto::Request req;
+    req.command = with_cas ? proto::Command::gets : proto::Command::get;
+    for (const auto& k : keys) {
+      if (!req.add_key(k)) co_return Errc::invalid_argument;
+    }
+    auto resp = co_await round_trip(proto::encode_request(req),
+                                    proto::ResponseParser::Expect::values);
+    if (!resp.ok()) co_return resp.error();
+
+    std::vector<std::optional<proto::Value>> out(keys.size());
+    std::size_t copied_bytes = 0;
+    for (auto& value : resp->values) {
+      copied_bytes += value.data.size();
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (keys[i] == value.key && !out[i]) {
+          out[i] = std::move(value);
+          break;
+        }
+      }
+    }
+    co_await charge_copy(copied_bytes);
+    co_return out;
+  }
+
+ private:
+  /// The text encode: `cmd` as a request line (and data block).
+  static proto::Request request(const Command& cmd) {
+    proto::Request req;
+    req.command = command(cmd.op);
+    // No key for flush_all (or an empty key): add_key would copy from
+    // the view's null data.
+    if (!cmd.key.empty()) req.set_key(cmd.key);
+    req.flags = cmd.flags;
+    req.exptime = cmd.exptime;
+    req.cas_unique = cmd.cas;
+    req.delta = cmd.delta;
+    req.data.assign(cmd.value.begin(), cmd.value.end());
+    return req;
+  }
+
+  static proto::Command command(Op op) {
+    switch (op) {
+      case Op::get: return proto::Command::get;
+      case Op::gets: return proto::Command::gets;
+      case Op::set: return proto::Command::set;
+      case Op::add: return proto::Command::add;
+      case Op::replace: return proto::Command::replace;
+      case Op::append: return proto::Command::append;
+      case Op::prepend: return proto::Command::prepend;
+      case Op::cas: return proto::Command::cas;
+      case Op::del: return proto::Command::del;
+      case Op::incr: return proto::Command::incr;
+      case Op::decr: return proto::Command::decr;
+      case Op::touch: return proto::Command::touch;
+      case Op::flush_all: return proto::Command::flush_all;
+      case Op::version:
+      case Op::mget: break;
+    }
+    return proto::Command::version;
+  }
+
+  /// The text protocol is not self-describing: the reply shape follows
+  /// from the op.
+  static proto::ResponseParser::Expect expect(Op op) {
+    using Expect = proto::ResponseParser::Expect;
+    if (get_family(op)) return Expect::values;
+    return op == Op::incr || op == Op::decr ? Expect::number : Expect::simple;
+  }
+};
+
+// -------------------------------------------------------------- binary --
+
+/// ServerConn speaking the memcached binary protocol over a byte stream
+/// (ClientBehavior::binary_protocol). Multi-get uses the pipelined
+/// getkq...noop pattern real binary clients use.
+class BinaryConn final : public StreamConn<bproto::ResponseParser, bproto::Response> {
+ public:
+  using StreamConn::StreamConn;
+
+  sim::Task<Result<Reply>> execute(const Command& cmd, Sink& sink) override {
     if (!alive()) co_return Errc::disconnected;
     const sim::Time t0 = sched_->now();
-    bproto::Request req;
-    req.opcode = bproto::Opcode::get;
-    req.key = std::string(key);
-    auto resp = co_await round_trip(req);
+    auto resp = co_await round_trip(bproto::encode_request(request(cmd)));
     if (!resp.ok()) co_return resp.error();
-    if (resp->status != bproto::BStatus::ok) co_return status_of(resp->status).error();
-    proto::Value value;
-    value.key = std::string(key);
-    value.flags = resp->flags;
-    value.cas = resp->cas;
-    value.data = std::move(resp->value);
-    co_await host_->cpu().consume(static_cast<sim::Time>(
-        static_cast<double>(value.data.size()) * behavior_.result_copy_ns_per_byte));
-    get_spans().total->record(sched_->now() - t0);
-    co_return value;
+    Reply reply{.code = binary_code(cmd.op, resp->status), .number = resp->number};
+    if (reply.code == Code::value) {
+      reply.flags = resp->flags;
+      reply.cas = resp->cas;
+      co_await charge_copy(resp->value.size());
+      get_spans().total->record(sched_->now() - t0);
+      const Status landed = land(sink, resp->value);
+      if (!landed.ok()) co_return landed.error();
+    } else if (reply.code == Code::stored) {
+      set_spans().total->record(sched_->now() - t0);
+    }
+    co_return reply;
   }
 
   sim::Task<Result<std::vector<std::optional<proto::Value>>>> mget(
       std::span<const std::string> keys, bool /*with_cas*/) override {
     if (!alive()) co_return Errc::disconnected;
-    co_await host_->cpu().consume(behavior_.format_ns);
     // Pipeline: one quiet getkq per key, then a noop fence. Misses stay
     // silent; hits come back tagged with opaque and key.
     std::vector<std::byte> wire;
@@ -376,156 +336,61 @@ class BinaryConn final : public ServerConn {
     fence.opaque = 0xffffffff;
     const auto fence_bytes = bproto::encode_request(fence);
     wire.insert(wire.end(), fence_bytes.begin(), fence_bytes.end());
-    auto sent = co_await socket_->send(wire);
+    auto sent = co_await send(wire);
     if (!sent.ok()) co_return sent.error();
 
     std::vector<std::optional<proto::Value>> out(keys.size());
-    std::vector<std::byte> chunk(16 * 1024);
     while (true) {
-      auto parsed = parser_.next();
-      if (!parsed.ok()) co_return parsed.error();
-      if (parsed->has_value()) {
-        bproto::Response& resp = **parsed;
-        if (resp.opcode == bproto::Opcode::noop) co_return out;
-        if (resp.opcode == bproto::Opcode::getkq && resp.opaque < out.size()) {
-          proto::Value value;
-          value.key = resp.key;
-          value.flags = resp.flags;
-          value.cas = resp.cas;
-          value.data = std::move(resp.value);
-          out[resp.opaque] = std::move(value);
-        }
-        continue;
+      auto resp = co_await receive();
+      if (!resp.ok()) co_return resp.error();
+      if (resp->opcode == bproto::Opcode::noop) co_return out;
+      if (resp->opcode == bproto::Opcode::getkq && resp->opaque < out.size()) {
+        proto::Value value;
+        value.key = resp->key;
+        value.flags = resp->flags;
+        value.cas = resp->cas;
+        value.data = std::move(resp->value);
+        out[resp->opaque] = std::move(value);
       }
-      auto n = co_await socket_->recv(chunk);
-      if (!n.ok()) co_return n.error();
-      if (*n == 0) co_return Errc::disconnected;
-      parser_.feed(std::span<const std::byte>(chunk.data(), *n));
     }
-  }
-
-  sim::Task<Status> store(SetMode mode, std::string_view key,
-                          std::span<const std::byte> value, std::uint32_t flags,
-                          std::uint32_t exptime, std::uint64_t cas) override {
-    if (!alive()) co_return Errc::disconnected;
-    bproto::Request req;
-    switch (mode) {
-      case SetMode::set: req.opcode = bproto::Opcode::set; break;
-      case SetMode::add: req.opcode = bproto::Opcode::add; break;
-      case SetMode::replace: req.opcode = bproto::Opcode::replace; break;
-      case SetMode::append: req.opcode = bproto::Opcode::append; break;
-      case SetMode::prepend: req.opcode = bproto::Opcode::prepend; break;
-      case SetMode::cas:
-        req.opcode = bproto::Opcode::set;  // binary CAS = set with cas field
-        req.cas = cas;
-        break;
-    }
-    req.key = std::string(key);
-    req.flags = flags;
-    req.exptime = exptime;
-    req.value.assign(value.begin(), value.end());
-    const sim::Time t0 = sched_->now();
-    auto resp = co_await round_trip(req);
-    if (!resp.ok()) co_return resp.error();
-    if (resp->status == bproto::BStatus::ok) {
-      set_spans().total->record(sched_->now() - t0);
-      co_return Status{};
-    }
-    // Map the binary statuses back onto the text-protocol error space so
-    // both transports look identical to callers.
-    if (mode == SetMode::add && resp->status == bproto::BStatus::key_exists) {
-      co_return Errc::not_stored;
-    }
-    if (mode == SetMode::replace && resp->status == bproto::BStatus::key_not_found) {
-      co_return Errc::not_stored;
-    }
-    co_return status_of(resp->status);
-  }
-
-  sim::Task<Status> del(std::string_view key) override {
-    bproto::Request req;
-    req.opcode = bproto::Opcode::del;
-    req.key = std::string(key);
-    co_return co_await simple(req);
-  }
-
-  sim::Task<Result<std::uint64_t>> arith(std::string_view key, std::uint64_t delta,
-                                         bool decrement) override {
-    if (!alive()) co_return Errc::disconnected;
-    bproto::Request req;
-    req.opcode = decrement ? bproto::Opcode::decrement : bproto::Opcode::increment;
-    req.key = std::string(key);
-    req.delta = delta;
-    req.arith_exptime = 0xffffffffu;  // fail on miss, like the text protocol
-    auto resp = co_await round_trip(req);
-    if (!resp.ok()) co_return resp.error();
-    if (resp->status == bproto::BStatus::ok) co_return resp->number;
-    if (resp->status == bproto::BStatus::delta_badval) co_return Errc::invalid_argument;
-    co_return status_of(resp->status).error();
-  }
-
-  sim::Task<Status> touch(std::string_view key, std::uint32_t exptime) override {
-    bproto::Request req;
-    req.opcode = bproto::Opcode::touch;
-    req.key = std::string(key);
-    req.exptime = exptime;
-    co_return co_await simple(req);
-  }
-
-  sim::Task<Status> flush_all() override {
-    bproto::Request req;
-    req.opcode = bproto::Opcode::flush;
-    co_return co_await simple(req);
   }
 
  private:
-  static Status status_of(bproto::BStatus status) {
-    switch (status) {
-      case bproto::BStatus::ok: return {};
-      case bproto::BStatus::key_not_found: return Errc::not_found;
-      case bproto::BStatus::key_exists: return Errc::exists;
-      case bproto::BStatus::value_too_large: return Errc::too_large;
-      case bproto::BStatus::not_stored: return Errc::not_stored;
-      case bproto::BStatus::delta_badval: return Errc::invalid_argument;
-      case bproto::BStatus::invalid_arguments: return Errc::invalid_argument;
-      case bproto::BStatus::out_of_memory: return Errc::no_resources;
-      case bproto::BStatus::unknown_command: return Errc::protocol_error;
+  /// The binary encode: `cmd` as one request frame. A cas is a set
+  /// carrying the cas id; incr/decr fail on a miss, like the text protocol.
+  static bproto::Request request(const Command& cmd) {
+    bproto::Request req;
+    req.opcode = opcode(cmd.op);
+    req.key = std::string(cmd.key);
+    req.value.assign(cmd.value.begin(), cmd.value.end());
+    req.flags = cmd.flags;
+    req.exptime = cmd.exptime;
+    req.delta = cmd.delta;
+    req.cas = cmd.cas;
+    return req;
+  }
+
+  static bproto::Opcode opcode(Op op) {
+    using bproto::Opcode;
+    switch (op) {
+      case Op::get:
+      case Op::gets:
+      case Op::mget: return Opcode::get;
+      case Op::set:
+      case Op::cas: return Opcode::set;
+      case Op::add: return Opcode::add;
+      case Op::replace: return Opcode::replace;
+      case Op::append: return Opcode::append;
+      case Op::prepend: return Opcode::prepend;
+      case Op::del: return Opcode::del;
+      case Op::incr: return Opcode::increment;
+      case Op::decr: return Opcode::decrement;
+      case Op::touch: return Opcode::touch;
+      case Op::flush_all: return Opcode::flush;
+      case Op::version: return Opcode::version;
     }
-    return Errc::protocol_error;
+    return Opcode::version;
   }
-
-  sim::Task<Status> simple(bproto::Request& req) {
-    if (!alive()) co_return Errc::disconnected;
-    auto resp = co_await round_trip(req);
-    if (!resp.ok()) co_return resp.error();
-    co_return status_of(resp->status);
-  }
-
-  sim::Task<Result<bproto::Response>> round_trip(const bproto::Request& request) {
-    co_await host_->cpu().consume(behavior_.format_ns);
-    const auto bytes = bproto::encode_request(request);
-    auto sent = co_await socket_->send(bytes);
-    if (!sent.ok()) co_return sent.error();
-    std::vector<std::byte> chunk(16 * 1024);
-    while (true) {
-      auto parsed = parser_.next();
-      if (!parsed.ok()) co_return parsed.error();
-      if (parsed->has_value()) co_return std::move(**parsed);
-      auto n = co_await socket_->recv(chunk);
-      if (!n.ok()) co_return n.error();
-      if (*n == 0) co_return Errc::disconnected;
-      parser_.feed(std::span<const std::byte>(chunk.data(), *n));
-    }
-  }
-
-  sim::Scheduler* sched_;
-  sim::Host* host_;
-  ClientBehavior behavior_;
-  sock::NetStack* stack_;
-  sim::NicAddr addr_;
-  std::uint16_t port_;
-  sock::Socket* socket_ = nullptr;
-  bproto::ResponseParser parser_;
 };
 
 // ----------------------------------------------------------------- ucr --
@@ -585,29 +450,25 @@ class UcrConn final : public ServerConn {
 
   bool alive() const override { return ep_ && ep_->state() == ucr::EpState::ready; }
 
-  sim::Task<Result<proto::Value>> get(std::string_view key, bool with_cas) override {
-    proto::Value value;
-    Sink sink{.value = &value};
-    auto reply = co_await fetch(key, with_cas, sink);
-    if (!reply.ok()) co_return reply.error();
-    value.key.assign(key.data(), key.size());
-    value.flags = reply->flags;
-    value.cas = reply->cas;
-    co_return std::move(value);
-  }
-
-  sim::Task<Result<GetIntoResult>> get_into(std::string_view key, std::span<std::byte> dest,
-                                            bool with_cas) override {
-    // The zero-allocation GET: over RPC the reply header handler lands the
-    // value bytes directly in `dest`, so no arena slot, no Value, no copy.
-    Sink sink{.dest = dest};
-    auto reply = co_await fetch(key, with_cas, sink);
-    if (!reply.ok()) co_return reply.error();
-    GetIntoResult out;
-    out.value_len = sink.len;
-    out.flags = reply->flags;
-    out.cas = reply->cas;
-    co_return out;
+  sim::Task<Result<Reply>> execute(const Command& cmd, Sink& sink) override {
+    // The UCR encode: the command's fields in the request header; flush_all
+    // carries its delay in `delta` and a placeholder key.
+    const bool get = get_family(cmd.op);
+    auto header = co_await run(
+        {.op = cmd.op,
+         .key = cmd.op == Op::flush_all ? std::string_view{"-"} : cmd.key,
+         .value = cmd.value,
+         .extra = {.flags = cmd.flags,
+                   .exptime = cmd.exptime,
+                   .cas = cmd.cas,
+                   .delta = cmd.op == Op::flush_all ? cmd.exptime : cmd.delta},
+         .spans = get ? &get_spans() : ucrp::is_storage(cmd.op) ? &set_spans() : nullptr,
+         .sink = get ? &sink : nullptr});
+    if (!header.ok()) co_return header.error();
+    co_return Reply{.code = ucr_code(header->status),
+                    .number = header->number,
+                    .flags = header->flags,
+                    .cas = header->cas};
   }
 
   sim::Task<Result<std::vector<std::optional<proto::Value>>>> mget(
@@ -641,9 +502,6 @@ class UcrConn final : public ServerConn {
     // caller's buffers or the arena.
     (void)with_cas;  // records always carry the CAS id
     if (keys.size() > slots.size()) co_return Errc::invalid_argument;
-    for (const auto& key : keys) {
-      if (key.size() > proto::Request::kMaxKeyLen) co_return Errc::invalid_argument;
-    }
     if (keys.empty()) co_return Status{};
     // Reset the arena up front (values of the *previous* op die at the next
     // op, per the MgetSlot contract) so back-to-back mgets reuse it instead
@@ -660,48 +518,6 @@ class UcrConn final : public ServerConn {
                                .block = block});
     if (!reply.ok()) co_return reply.error();
     co_return Status{};
-  }
-
-  sim::Task<Status> store(SetMode mode, std::string_view key,
-                          std::span<const std::byte> value, std::uint32_t flags,
-                          std::uint32_t exptime, std::uint64_t cas) override {
-    ucrp::RequestHeader extra;
-    extra.flags = flags;
-    extra.exptime = exptime;
-    extra.cas = cas;
-    auto reply = co_await run({.op = storage_op(mode),
-                               .key = key,
-                               .value = value,
-                               .extra = extra,
-                               .spans = &set_spans()});
-    if (!reply.ok()) co_return reply.error();
-    co_return status_from(reply->status);
-  }
-
-  sim::Task<Status> del(std::string_view key) override {
-    co_return co_await simple_op(ucrp::Op::del, key, {});
-  }
-
-  sim::Task<Result<std::uint64_t>> arith(std::string_view key, std::uint64_t delta,
-                                         bool decrement) override {
-    ucrp::RequestHeader extra;
-    extra.delta = delta;
-    auto reply = co_await run(
-        {.op = decrement ? ucrp::Op::decr : ucrp::Op::incr, .key = key, .extra = extra});
-    if (!reply.ok()) co_return reply.error();
-    if (reply->status == ucrp::RStatus::number) co_return reply->number;
-    const Status st = status_from(reply->status);
-    co_return st.ok() ? Errc::protocol_error : st.error();
-  }
-
-  sim::Task<Status> touch(std::string_view key, std::uint32_t exptime) override {
-    ucrp::RequestHeader extra;
-    extra.exptime = exptime;
-    co_return co_await simple_op(ucrp::Op::touch, key, extra);
-  }
-
-  sim::Task<Status> flush_all() override {
-    co_return co_await simple_op(ucrp::Op::flush_all, "-", {});
   }
 
  private:
@@ -734,14 +550,6 @@ class UcrConn final : public ServerConn {
   /// dispatches through the endpoint's user_data.
   static void ensure_handler(ucr::Runtime& runtime);
 
-  /// Where a GET-family value lands: a fresh Value (get) or the caller's
-  /// buffer (get_into). `len` reports the value length once it landed.
-  struct Sink {
-    proto::Value* value = nullptr;
-    std::span<std::byte> dest{};
-    std::uint32_t len = 0;
-  };
-
   /// One op as the op path runs it.
   struct Call {
     ucrp::Op op;
@@ -757,27 +565,11 @@ class UcrConn final : public ServerConn {
     std::span<std::byte> block{};
   };
 
-  /// Ops a bypass failure must not re-run over RPC once the server may
-  /// have applied them: a second application changes the outcome.
-  static bool idempotent(ucrp::Op op) {
-    switch (op) {
-      case ucrp::Op::incr:
-      case ucrp::Op::decr:
-      case ucrp::Op::append:
-      case ucrp::Op::prepend:
-      case ucrp::Op::add:
-      case ucrp::Op::cas:
-        return false;
-      default:
-        return true;
-    }
-  }
-
   /// The op path: every op of every mode runs through here. It tries the
   /// mode's bypass (a one-sided Read for GET, the RFP rings for the rest),
   /// decides whether a failed bypass may re-run over RPC, and otherwise
   /// issues the op as one active message (§V). The reply comes back
-  /// undecoded — callers map its status with status_from — except that a
+  /// undecoded — execute() decodes its status — except that a
   /// GET-family value has landed in the call's sink and an mget's answers
   /// in its slots. Copying bytes out of transport storage into the
   /// caller's result is charged result_copy_ns_per_byte; the mc.latency
@@ -787,9 +579,9 @@ class UcrConn final : public ServerConn {
     if (!alive()) co_return Errc::disconnected;
     const sim::Time t0 = sched_->now();
     co_await host_->cpu().consume(behavior_.format_ns);
-    const bool get_family = call.op == ucrp::Op::get || call.op == ucrp::Op::gets;
+    const bool get = get_family(call.op);
 
-    if (get_family && getter_ && getter_->ready()) {
+    if (get && getter_ && getter_->ready()) {
       // The getter is non-authoritative and its Reads never reach the
       // server: anything short of a verified hit goes to RPC.
       auto hit = co_await getter_->try_get(*ep_, call.key);
@@ -822,9 +614,9 @@ class UcrConn final : public ServerConn {
       Errc failure = out.ok() ? Errc::ok : out.error();
       if (out.ok()) {
         const ucrp::ResponseHeader header = out->header;
-        // server_error: the reply did not fit one response slot.
-        Result<std::uint64_t> copied = Errc::no_resources;  // status_from(server_error)
-        if (header.status != ucrp::RStatus::server_error) {
+        // reply_overflow: the reply did not fit one response slot.
+        Result<std::uint64_t> copied = Errc::no_resources;
+        if (header.status != ucrp::RStatus::reply_overflow) {
           copied = receive(call, header, out->body);
         } else {
           rfp_fallbacks_->inc();
@@ -850,7 +642,6 @@ class UcrConn final : public ServerConn {
       header.status = ucrp::RStatus::value;
       copied = hit_bytes(call.slots);
     } else {
-      if (call.key.size() > proto::Request::kMaxKeyLen) co_return Errc::invalid_argument;
       ucrp::RequestHeader hdr = call.extra;
       hdr.op = call.op;
       Pending pending;
@@ -869,7 +660,7 @@ class UcrConn final : public ServerConn {
     // is consumed by now.
     if (!mget) maybe_reset_arena();
     if (!copied.ok()) co_return copied.error();
-    if (call.spans != nullptr && (!get_family || header.status == ucrp::RStatus::value)) {
+    if (call.spans != nullptr && (!get || header.status == ucrp::RStatus::value)) {
       const sim::Time t3 = sched_->now();
       call.spans->build->record(t1 - t0);
       call.spans->wait->record(t2 - t1);
@@ -877,28 +668,6 @@ class UcrConn final : public ServerConn {
       call.spans->total->record(t3 - t0);
     }
     co_return header;
-  }
-
-  /// The GET that get and get_into share; a miss decodes to not_found.
-  sim::Task<Result<ucrp::ResponseHeader>> fetch(std::string_view key, bool with_cas,
-                                                Sink& sink) {
-    auto reply = co_await run({.op = with_cas ? ucrp::Op::gets : ucrp::Op::get,
-                               .key = key,
-                               .spans = &get_spans(),
-                               .sink = &sink});
-    if (!reply.ok()) co_return reply.error();
-    if (reply->status != ucrp::RStatus::value) {
-      const Status st = status_from(reply->status);
-      co_return st.ok() ? Errc::not_found : st.error();
-    }
-    co_return *reply;
-  }
-
-  sim::Task<Status> simple_op(ucrp::Op op, std::string_view key,
-                              const ucrp::RequestHeader& extra) {
-    auto reply = co_await run({.op = op, .key = key, .extra = extra});
-    if (!reply.ok()) co_return reply.error();
-    co_return status_from(reply->status);
   }
 
   /// Take a served reply's payload into the op's result: a GET value
@@ -1165,8 +934,8 @@ class UcrConn final : public ServerConn {
       co_return Errc::timed_out;
     }
     if (ctx.error) {
-      const Status st = status_from(status);
-      co_return st.ok() ? Errc::protocol_error : st;
+      const Errc e = outcome_row(ucr_code(status)).errc;
+      co_return e == Errc::ok ? Errc::protocol_error : e;
     }
     if (ctx.malformed || !done) co_return Errc::protocol_error;
     co_return Status{};
@@ -1452,18 +1221,22 @@ sim::Task<> Client::rejoin_probe(std::size_t index) {
       if (!st.ok()) continue;
     }
     // Any reply — even a miss — proves the server is back.
-    auto probe = co_await conn.get("rejoin-probe", false);
+    proto::Value value;
+    Sink sink{.value = &value};
+    auto probe = co_await conn.execute({.op = Op::get, .key = "rejoin-probe"}, sink);
     if (probe.ok() || !transport_error(probe.error())) note_success(index);
   }
   health_[index].probing = false;
 }
 
-template <typename Op>
-std::invoke_result_t<Op&, ServerConn&> Client::with_retries(std::string_view key, Op op) {
+sim::Task<Result<Reply>> Client::run(Command cmd, Sink* sink) {
+  if (long_key(cmd.key)) co_return Errc::invalid_argument;
+  Sink none;
   for (std::uint32_t attempt = 0;; ++attempt) {
     // Route per attempt: an ejection between attempts re-routes the key.
-    const std::size_t index = server_index(key);
+    const std::size_t index = server_index(cmd.key);
     Errc failure = Errc::ok;
+    bool issued = false;
     if (!conns_[index]->alive()) {
       auto reconnected = co_await ensure_conn(index);
       if (!reconnected.ok()) {
@@ -1472,15 +1245,19 @@ std::invoke_result_t<Op&, ServerConn&> Client::with_retries(std::string_view key
       }
     }
     if (failure == Errc::ok) {
-      auto result = co_await op(*conns_[index]);
-      if (result.ok() || !transport_error(result.error())) {
+      auto reply = co_await conns_[index]->execute(cmd, sink != nullptr ? *sink : none);
+      if (reply.ok() || !transport_error(reply.error())) {
         note_success(index);
-        co_return std::move(result);
+        if (!reply.ok()) co_return reply.error();
+        const Errc errc = caller_errc(cmd.op, reply->code);
+        if (errc != Errc::ok) co_return errc;
+        co_return std::move(reply);
       }
-      failure = result.error();
+      failure = reply.error();
+      issued = true;
     }
     note_failure(index);
-    if (attempt >= behavior_.max_retries) co_return failure;
+    if (attempt >= behavior_.max_retries || (issued && !idempotent(cmd.op))) co_return failure;
     obs::registry().counter("mc.client.retries").inc();
     co_await sched_->delay(behavior_.retry_backoff << std::min(attempt, 6u));
   }
@@ -1489,54 +1266,66 @@ std::invoke_result_t<Op&, ServerConn&> Client::with_retries(std::string_view key
 sim::Task<Status> Client::set(std::string_view key, std::span<const std::byte> value,
                               std::uint32_t flags, std::uint32_t exptime) {
   obs::registry().counter("mc.client.sets").inc();
-  co_return co_await with_retries(key, [&](ServerConn& c) {
-    return c.store(SetMode::set, key, value, flags, exptime, 0);
-  });
+  co_return status(co_await run(
+      {.op = Op::set, .key = key, .value = value, .flags = flags, .exptime = exptime}));
 }
 sim::Task<Status> Client::add(std::string_view key, std::span<const std::byte> value,
                               std::uint32_t flags, std::uint32_t exptime) {
-  co_return co_await with_retries(key, [&](ServerConn& c) {
-    return c.store(SetMode::add, key, value, flags, exptime, 0);
-  });
+  co_return status(co_await run(
+      {.op = Op::add, .key = key, .value = value, .flags = flags, .exptime = exptime}));
 }
 sim::Task<Status> Client::replace(std::string_view key, std::span<const std::byte> value,
                                   std::uint32_t flags, std::uint32_t exptime) {
-  co_return co_await with_retries(key, [&](ServerConn& c) {
-    return c.store(SetMode::replace, key, value, flags, exptime, 0);
-  });
+  co_return status(co_await run(
+      {.op = Op::replace, .key = key, .value = value, .flags = flags, .exptime = exptime}));
 }
 sim::Task<Status> Client::append(std::string_view key, std::span<const std::byte> value) {
-  co_return co_await with_retries(
-      key, [&](ServerConn& c) { return c.store(SetMode::append, key, value, 0, 0, 0); });
+  co_return status(co_await run({.op = Op::append, .key = key, .value = value}));
 }
 sim::Task<Status> Client::prepend(std::string_view key, std::span<const std::byte> value) {
-  co_return co_await with_retries(
-      key, [&](ServerConn& c) { return c.store(SetMode::prepend, key, value, 0, 0, 0); });
+  co_return status(co_await run({.op = Op::prepend, .key = key, .value = value}));
 }
 sim::Task<Status> Client::cas(std::string_view key, std::span<const std::byte> value,
                               std::uint64_t cas_unique, std::uint32_t flags,
                               std::uint32_t exptime) {
-  co_return co_await with_retries(key, [&](ServerConn& c) {
-    return c.store(SetMode::cas, key, value, flags, exptime, cas_unique);
-  });
+  co_return status(co_await run({.op = Op::cas,
+                                 .key = key,
+                                 .value = value,
+                                 .flags = flags,
+                                 .exptime = exptime,
+                                 .cas = cas_unique}));
+}
+
+sim::Task<Result<proto::Value>> Client::fetch(std::string_view key, bool with_cas) {
+  proto::Value value;
+  Sink sink{.value = &value};
+  auto reply = co_await run({.op = with_cas ? Op::gets : Op::get, .key = key}, &sink);
+  if (!reply.ok()) co_return reply.error();
+  value.key.assign(key.data(), key.size());
+  value.flags = reply->flags;
+  value.cas = reply->cas;
+  co_return std::move(value);
 }
 
 sim::Task<Result<proto::Value>> Client::get(std::string_view key) {
   obs::registry().counter("mc.client.gets").inc();
-  co_return co_await with_retries(key, [&](ServerConn& c) { return c.get(key, false); });
+  co_return co_await fetch(key, false);
 }
 sim::Task<Result<proto::Value>> Client::gets(std::string_view key) {
-  co_return co_await with_retries(key, [&](ServerConn& c) { return c.get(key, true); });
+  co_return co_await fetch(key, true);
 }
 sim::Task<Result<GetIntoResult>> Client::get_into(std::string_view key,
                                                   std::span<std::byte> dest) {
   obs::registry().counter("mc.client.gets").inc();
-  co_return co_await with_retries(
-      key, [&](ServerConn& c) { return c.get_into(key, dest, false); });
+  Sink sink{.dest = dest};
+  auto reply = co_await run({.op = Op::get, .key = key}, &sink);
+  if (!reply.ok()) co_return reply.error();
+  co_return GetIntoResult{.value_len = sink.len, .flags = reply->flags, .cas = reply->cas};
 }
 
 sim::Task<Result<std::vector<std::optional<proto::Value>>>> Client::mget(
     std::span<const std::string> keys) {
+  if (std::ranges::any_of(keys, long_key)) co_return Errc::invalid_argument;
   // Group keys per server and issue all per-server mgets concurrently
   // (libmemcached pipelines across the pool), then reassemble
   // positionally.
@@ -1580,6 +1369,7 @@ sim::Task<Result<std::vector<std::optional<proto::Value>>>> Client::mget(
 sim::Task<Status> Client::mget_into(std::span<const std::string_view> keys,
                                     std::span<MgetSlot> slots) {
   if (keys.size() > slots.size()) co_return Errc::invalid_argument;
+  if (std::ranges::any_of(keys, long_key)) co_return Errc::invalid_argument;
   if (keys.empty()) co_return Status{};
   // Single-server pool: zero-alloc pass-through to the batched transport
   // path (the common benchmark/zero-alloc configuration).
@@ -1612,25 +1402,29 @@ sim::Task<Status> Client::mget_into(std::span<const std::string_view> keys,
 }
 
 sim::Task<Status> Client::del(std::string_view key) {
-  co_return co_await with_retries(key, [&](ServerConn& c) { return c.del(key); });
+  co_return status(co_await run({.op = Op::del, .key = key}));
 }
 sim::Task<Result<std::uint64_t>> Client::incr(std::string_view key, std::uint64_t delta) {
-  co_return co_await with_retries(key,
-                                  [&](ServerConn& c) { return c.arith(key, delta, false); });
+  auto reply = co_await run({.op = Op::incr, .key = key, .delta = delta});
+  if (!reply.ok()) co_return reply.error();
+  co_return reply->number;
 }
 sim::Task<Result<std::uint64_t>> Client::decr(std::string_view key, std::uint64_t delta) {
-  co_return co_await with_retries(key,
-                                  [&](ServerConn& c) { return c.arith(key, delta, true); });
+  auto reply = co_await run({.op = Op::decr, .key = key, .delta = delta});
+  if (!reply.ok()) co_return reply.error();
+  co_return reply->number;
 }
 sim::Task<Status> Client::touch(std::string_view key, std::uint32_t exptime) {
-  co_return co_await with_retries(key,
-                                  [&](ServerConn& c) { return c.touch(key, exptime); });
+  co_return status(co_await run({.op = Op::touch, .key = key, .exptime = exptime}));
 }
 
 sim::Task<Status> Client::flush_all() {
+  const Command cmd{.op = Op::flush_all};
   for (auto& conn : conns_) {
-    auto st = co_await conn->flush_all();
-    if (!st.ok()) co_return st;
+    Sink none;
+    auto reply = co_await conn->execute(cmd, none);
+    if (!reply.ok()) co_return reply.error();
+    if (const Errc errc = caller_errc(cmd.op, reply->code); errc != Errc::ok) co_return errc;
   }
   co_return Status{};
 }

@@ -2,15 +2,21 @@
 //
 // A Client owns a pool of server connections; each key is routed by a hash
 // of the key modulo the pool size (the client-side server selection of
-// §II-C — no central directory). Two connection types implement the same
-// interface:
+// §II-C — no central directory). Every operation builds one mc::Command,
+// the struct the server decodes requests into; the connection for the
+// key's server encodes it for its wire and decodes the reply back to its
+// row of the outcome table (command.hpp), whose Errc column is what the
+// caller sees. Three connection types implement the same interface:
 //
 //  * TextConn — the classic sockets path: memcached ASCII protocol over a
 //    byte stream (works over 1GigE TCP, IPoIB, SDP, TOE — whatever
 //    NetStack it is given), TCP_NODELAY semantics.
+//  * BinaryConn — the memcached binary protocol over the same byte
+//    streams (ClientBehavior::binary_protocol).
 //  * UcrConn — §V: operations as active messages; the reply names the
 //    client's counter C as target counter; GET allocates the destination
-//    buffer only once the response header reveals the item length.
+//    buffer only once the response header reveals the item length. Its
+//    bypass modes (one-sided GETs, RFP rings) fall back to RPC per op.
 #pragma once
 
 #include <cstdint>
@@ -18,14 +24,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "memcached/ketama.hpp"
 #include "memcached/protocol.hpp"
-#include "memcached/store.hpp"
 #include "memcached/ucr_proto.hpp"
 #include "rfp/channel.hpp"
 #include "sockets/stack.hpp"
@@ -118,38 +121,46 @@ struct MgetSlot {
   bool hit = false;
 };
 
+/// Where a GET-family hit lands: a fresh Value (get/gets) or the caller's
+/// buffer (get_into; too_large when it does not fit). The connection sets
+/// `len` to the value bytes landed.
+struct Sink {
+  proto::Value* value = nullptr;
+  std::span<std::byte> dest{};
+  std::uint32_t len = 0;
+};
+
+/// A served reply, decoded: its outcome row and what the caller reads
+/// from it.
+struct Reply {
+  Code code = Code::ok;
+  std::uint64_t number = 0;  ///< incr/decr result
+  std::uint32_t flags = 0;   ///< GET hit
+  std::uint64_t cas = 0;     ///< GET hit
+};
+
 /// One server connection (transport-specific).
 class ServerConn {
  public:
   virtual ~ServerConn() = default;
   virtual sim::Task<Status> connect() = 0;
-  virtual sim::Task<Result<proto::Value>> get(std::string_view key, bool with_cas) = 0;
-  /// Zero-allocation GET: the value is written into `dest` (too_large if it
-  /// does not fit). Transports without a direct-landing path fall back to
-  /// get() and copy.
-  virtual sim::Task<Result<GetIntoResult>> get_into(std::string_view key,
-                                                    std::span<std::byte> dest,
-                                                    bool with_cas);
+  virtual bool alive() const = 0;
+  /// Run one single-key command (everything but mget): encode it for this
+  /// wire, send it, and decode the reply to its outcome row. A GET-family
+  /// hit lands in `sink`. Errors are failures to get a decodable reply
+  /// (transport errors, an unparseable stream, a too-small sink buffer).
+  virtual sim::Task<Result<Reply>> execute(const Command& cmd, Sink& sink) = 0;
   virtual sim::Task<Result<std::vector<std::optional<proto::Value>>>> mget(
       std::span<const std::string> keys, bool with_cas) = 0;
   /// Batched multiget into caller-provided slots (slots.size() >=
   /// keys.size(); slots[i] answers keys[i]). UCR overrides this with the
   /// true server-side multiget — one request AM per key-block chunk, one
   /// scatter-gather reply — and is allocation-free in steady state. The
-  /// base implementation loops get() per key (socket transports): correct
+  /// base implementation runs one GET per key (socket transports): correct
   /// but allocating, and values land only when `dest` is provided and
   /// large enough.
   virtual sim::Task<Status> mget_into(std::span<const std::string_view> keys,
                                       std::span<MgetSlot> slots, bool with_cas);
-  virtual sim::Task<Status> store(SetMode mode, std::string_view key,
-                                  std::span<const std::byte> value, std::uint32_t flags,
-                                  std::uint32_t exptime, std::uint64_t cas) = 0;
-  virtual sim::Task<Status> del(std::string_view key) = 0;
-  virtual sim::Task<Result<std::uint64_t>> arith(std::string_view key, std::uint64_t delta,
-                                                 bool decrement) = 0;
-  virtual sim::Task<Status> touch(std::string_view key, std::uint32_t exptime) = 0;
-  virtual sim::Task<Status> flush_all() = 0;
-  virtual bool alive() const = 0;
 };
 
 class Client {
@@ -221,18 +232,21 @@ class Client {
     std::uint32_t consecutive_failures = 0;
   };
 
-  ServerConn& conn_for(std::string_view key) { return *conns_[server_index(key)]; }
   void register_server(std::string name);
 
   static bool transport_error(Errc e) {
     return e == Errc::disconnected || e == Errc::timed_out;
   }
 
-  /// Run `op` against the server the key routes to, retrying transport
-  /// failures per ClientBehavior (reconnect, backoff, re-route). Defined
-  /// in client.cpp — all instantiations live there.
-  template <typename Op>
-  std::invoke_result_t<Op&, ServerConn&> with_retries(std::string_view key, Op op);
+  /// Run `cmd` on the server its key routes to and surface the reply's
+  /// outcome as the table's Errc. Transport failures retry per
+  /// ClientBehavior (reconnect, backoff, re-route), except that a
+  /// non-idempotent op that may have reached the server is never sent
+  /// again: the caller gets the failure instead.
+  /// A GET-family hit lands in `*sink`.
+  sim::Task<Result<Reply>> run(Command cmd, Sink* sink = nullptr);
+  /// get/gets: the GET, its hit landed in a fresh Value.
+  sim::Task<Result<proto::Value>> fetch(std::string_view key, bool with_cas);
 
   sim::Task<Status> ensure_conn(std::size_t index);
   void note_failure(std::size_t index);

@@ -11,21 +11,20 @@ namespace rmc::mc {
 namespace {
 
 constexpr OutcomeRow kOutcomeRows[] = {
-#define RMC_MC_OUTCOME_ROW(code, text, binary, ucr, message) \
-  {proto::Response::Type::text, message, bproto::BStatus::binary, ucrp::RStatus::ucr},
+#define RMC_MC_OUTCOME_ROW(code, text, binary, ucr, errc, message)                         \
+  {proto::Response::Type::text, message, bproto::BStatus::binary, ucrp::RStatus::ucr, \
+   Errc::errc},
     RMC_MC_OUTCOMES(RMC_MC_OUTCOME_ROW)
 #undef RMC_MC_OUTCOME_ROW
 };
 
-Code store_error(Errc e) {
-  switch (e) {
-    case Errc::not_stored: return Code::not_stored;
-    case Errc::exists: return Code::exists;
-    case Errc::not_found: return Code::not_found;
-    case Errc::too_large: return Code::too_large;
-    case Errc::invalid_argument: return Code::bad_format;
-    default: return Code::out_of_memory;
+/// The first row `match` accepts; unsupported when none does.
+template <class Match>
+Code find_row(Match match) {
+  for (std::size_t i = 0; i < std::size(kOutcomeRows); ++i) {
+    if (match(kOutcomeRows[i])) return static_cast<Code>(i);
   }
+  return Code::unsupported;
 }
 
 SetMode set_mode(Op op) {
@@ -42,6 +41,81 @@ SetMode set_mode(Op op) {
 }  // namespace
 
 const OutcomeRow& outcome_row(Code code) { return kOutcomeRows[static_cast<std::size_t>(code)]; }
+
+Code store_code(Errc e) {
+  switch (e) {
+    case Errc::not_stored: return Code::not_stored;
+    case Errc::exists: return Code::exists;
+    case Errc::not_found: return Code::not_found;
+    case Errc::too_large: return Code::too_large;
+    case Errc::invalid_argument: return Code::bad_format;
+    default: return Code::out_of_memory;
+  }
+}
+
+Code success(Op op) {
+  switch (op) {
+    case Op::get:
+    case Op::gets:
+    case Op::mget: return Code::value;
+    case Op::set:
+    case Op::add:
+    case Op::replace:
+    case Op::append:
+    case Op::prepend:
+    case Op::cas: return Code::stored;
+    case Op::del: return Code::deleted;
+    case Op::incr:
+    case Op::decr: return Code::number;
+    case Op::touch: return Code::touched;
+    case Op::flush_all:
+    case Op::version: return Code::ok;
+  }
+  return Code::ok;
+}
+
+bool idempotent(Op op) {
+  switch (op) {
+    case Op::incr:
+    case Op::decr:
+    case Op::append:
+    case Op::prepend:
+    case Op::add:
+    case Op::cas: return false;
+    default: return true;
+  }
+}
+
+bproto::BStatus binary_status(Op op, Code code) {
+  if (code == Code::not_stored && op == Op::add) return bproto::BStatus::key_exists;
+  if (code == Code::not_stored && op == Op::replace) return bproto::BStatus::key_not_found;
+  const bproto::BStatus status = outcome_row(code).binary;
+  const bool appends = op == Op::append || op == Op::prepend;
+  return appends && status != bproto::BStatus::ok ? bproto::BStatus::not_stored : status;
+}
+
+Code text_code(const proto::Response& reply) {
+  if (reply.type == proto::Response::Type::values && reply.values.empty()) return Code::not_found;
+  return find_row([&](const OutcomeRow& row) {
+    return row.text == reply.type && row.message == reply.message;
+  });
+}
+
+Code binary_code(Op op, bproto::BStatus status) {
+  if (status == bproto::BStatus::ok) return success(op);
+  if (op == Op::add && status == bproto::BStatus::key_exists) return Code::not_stored;
+  if (op == Op::replace && status == bproto::BStatus::key_not_found) return Code::not_stored;
+  return find_row([&](const OutcomeRow& row) { return row.binary == status; });
+}
+
+Code ucr_code(ucrp::RStatus status) {
+  return find_row([&](const OutcomeRow& row) { return row.ucr == status; });
+}
+
+Errc caller_errc(Op op, Code code) {
+  const Errc errc = outcome_row(code).errc;
+  return errc == Errc::ok && code != success(op) ? Errc::protocol_error : errc;
+}
 
 ucrp::ResponseHeader ucr_reply_header(const Outcome& out, std::uint64_t req_id) {
   ucrp::ResponseHeader header{
@@ -75,7 +149,7 @@ Outcome execute(ItemStore& store, sim::Time now, const Command& cmd) {
           cmd.prepared != nullptr ? cmd.prepared->value() : cmd.value;
       auto stored = store.store(set_mode(cmd.op), cmd.key, value, cmd.flags, cmd.exptime, cmd.cas);
       if (cmd.prepared != nullptr) store.abandon_item(cmd.prepared);
-      if (!stored.ok()) return {.code = store_error(stored.error())};
+      if (!stored.ok()) return {.code = store_code(stored.error())};
       return {.code = Code::stored, .cas = (*stored)->cas};
     }
     case Op::del:

@@ -1,12 +1,16 @@
 // rmclint:hotpath — the one store executor behind every wire
 //
-// The command core. Every frontend — text and binary sockets, UCR active
-// messages and the RFP ring — decodes its request into a Command, runs it
-// through execute() against the shared ItemStore (§V-A: one server, one
-// store, for sockets and UCR clients alike), and encodes the Outcome with
-// its own column of the outcome table below. Wire quirks (binary add/
-// replace statuses, binary incr seeding, the ring refusing admin ops)
-// stay one line each in their frontend.
+// The command core, both halves. Server: every frontend — text and
+// binary sockets, UCR active messages and the RFP ring — decodes its
+// request into a Command, runs it through execute() against the shared
+// ItemStore (§V-A: one server, one store, for sockets and UCR clients
+// alike), and encodes the Outcome with its own column of the outcome
+// table below. Client: every wire encodes the caller's Command, decodes
+// the reply back to its row of the same table, and the row's Errc column
+// is what the caller sees — so one outcome reaches callers as one Errc
+// whichever wire served it. Wire quirks (binary add/replace statuses,
+// binary incr seeding, the ring refusing admin ops) stay one line each in
+// their frontend and its client decode.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/error.hpp"
 #include "memcached/binary.hpp"
 #include "memcached/protocol.hpp"
 #include "simnet/time.hpp"
@@ -53,30 +58,36 @@ enum class Op : std::uint8_t {
   mget,
 };
 
-/// The outcome table: one row per outcome, one column per wire.
-///   ROW(code, text reply type, binary BStatus, UCR RStatus, text message)
+/// The outcome table: one row per outcome, one column per wire, and the
+/// Errc a client caller sees — the one place that decides it.
+///   ROW(code, text reply type, binary BStatus, UCR RStatus, caller Errc,
+///       text message)
+/// The UCR column is one status per row, so the status byte decodes
+/// exactly; text tells rows that share a reply type apart by message.
 // clang-format off
 #define RMC_MC_OUTCOMES(ROW)                                                                       \
-  ROW(ok,            ok,           ok,                ok,           "")                            \
-  ROW(value,         values,       ok,                value,        "")                            \
-  ROW(stored,        stored,       ok,                stored,       "")                            \
-  ROW(deleted,       deleted,      ok,                deleted,      "")                            \
-  ROW(touched,       touched,      ok,                touched,      "")                            \
-  ROW(number,        number,       ok,                number,       "")                            \
-  ROW(not_stored,    not_stored,   not_stored,        not_stored,   "")                            \
-  ROW(exists,        exists,       key_exists,        exists,       "")                            \
-  ROW(not_found,     not_found,    key_not_found,     not_found,    "")                            \
-  ROW(non_numeric,   client_error, delta_badval,      client_error,                                \
+  ROW(ok,            ok,           ok,                ok,           ok,               "")          \
+  ROW(value,         values,       ok,                value,        ok,               "")          \
+  ROW(stored,        stored,       ok,                stored,       ok,               "")          \
+  ROW(deleted,       deleted,      ok,                deleted,      ok,               "")          \
+  ROW(touched,       touched,      ok,                touched,      ok,               "")          \
+  ROW(number,        number,       ok,                number,       ok,               "")          \
+  ROW(not_stored,    not_stored,   not_stored,        not_stored,   not_stored,       "")          \
+  ROW(exists,        exists,       key_exists,        exists,       exists,           "")          \
+  ROW(not_found,     not_found,    key_not_found,     not_found,    not_found,        "")          \
+  ROW(non_numeric,   client_error, delta_badval,      client_error, invalid_argument,              \
       "cannot increment or decrement non-numeric value")                                           \
-  ROW(bad_format,    client_error, invalid_arguments, server_error, "bad command line format")     \
-  ROW(too_large,     server_error, value_too_large,   server_error, "object too large for cache")  \
-  ROW(out_of_memory, server_error, out_of_memory,     server_error,                                \
+  ROW(bad_format,    client_error, invalid_arguments, bad_format,   invalid_argument,              \
+      "bad command line format")                                                                   \
+  ROW(too_large,     server_error, value_too_large,   too_large,    too_large,                     \
+      "object too large for cache")                                                                \
+  ROW(out_of_memory, server_error, out_of_memory,     server_error, no_resources,                  \
       "out of memory storing object")                                                              \
-  ROW(unsupported,   error,        unknown_command,   client_error, "")
+  ROW(unsupported,   error,        unknown_command,   unsupported,  protocol_error,   "")
 // clang-format on
 
 enum class Code : std::uint8_t {
-#define RMC_MC_OUTCOME_CODE(code, text, binary, ucr, message) code,
+#define RMC_MC_OUTCOME_CODE(code, text, binary, ucr, errc, message) code,
   RMC_MC_OUTCOMES(RMC_MC_OUTCOME_CODE)
 #undef RMC_MC_OUTCOME_CODE
 };
@@ -87,8 +98,44 @@ struct OutcomeRow {
   std::string_view message;  ///< text error message (empty for the rest)
   bproto::BStatus binary;
   ucrp::RStatus ucr;
+  Errc errc;  ///< what a client caller sees
 };
 const OutcomeRow& outcome_row(Code code);
+
+/// The row a failed store call answers with (store errors: not_stored,
+/// exists, not_found, too_large, invalid_argument, no_resources).
+Code store_code(Errc e);
+
+/// The row a served `op` answers with when nothing went wrong.
+Code success(Op op);
+
+/// Whether running `op` twice leaves what running it once does. A
+/// non-idempotent op (incr/decr/append/prepend/add/cas) whose request may
+/// have reached the server is never sent again: not by a bypass falling
+/// back to RPC, not by the client's retry loop.
+bool idempotent(Op op);
+
+/// The binary status the server answers `code` with for `op`: the table's
+/// column, except that add-exists and replace-miss keep their own statuses
+/// and any failed append/prepend is not_stored.
+bproto::BStatus binary_status(Op op, Code code);
+
+// The client half: each wire's reply decodes back to its row. A reply
+// that matches no row decodes to `unsupported`.
+
+/// Text: the reply type, with the message telling apart rows that share
+/// one (CLIENT_ERROR, SERVER_ERROR); an empty VALUE block is a miss.
+Code text_code(const proto::Response& reply);
+/// Binary: ok is `op`'s success row; add-exists and replace-miss are
+/// not_stored (binary_status's quirks, undone).
+Code binary_code(Op op, bproto::BStatus status);
+/// UCR: the status byte names its row.
+Code ucr_code(ucrp::RStatus status);
+
+/// What the caller of `op` sees when its reply decodes to `code`: the
+/// row's Errc, or protocol_error for a success row that does not answer
+/// `op` (a STORED for an incr).
+Errc caller_errc(Op op, Code code);
 
 /// A decoded request, whichever wire it came from.
 struct Command {

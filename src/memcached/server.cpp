@@ -89,7 +89,7 @@ std::optional<Op> binary_op(const bproto::Request& req) {
 /// order feeds the slab free list (sim-visible); req_ids are monotonic,
 /// so iteration equals arrival order.
 struct Server::UcrConnState {
-  std::map<std::uint64_t, ItemHeader*> pending_sets;  // req_id -> item
+  std::map<std::uint64_t, Result<ItemHeader*>> pending_sets;  // req_id -> item or why none
   std::size_t worker = 0;  ///< round-robin worker owning this connection
 };
 
@@ -431,7 +431,6 @@ sim::Task<> Server::process_socket(Work& work, WorkerScratch& scratch) {
 }
 
 sim::Task<> Server::process_binary(Work& work) {
-  using bproto::BStatus;
   using bproto::Opcode;
   const bproto::Request& req = work.bin_request;
   const sim::Time exec_start = sched_->now();
@@ -472,14 +471,7 @@ sim::Task<> Server::process_binary(Work& work) {
                    .exptime = req.arith_exptime});
       out = {.code = Code::number, .number = req.initial};
     }
-    resp.status = outcome_row(out.code).binary;
-    // Binary tells add-exists from replace-miss, and answers any failed
-    // append/prepend with not_stored.
-    const bool appends = op == Op::append || op == Op::prepend;
-    if (!appends && out.code == Code::not_stored) {
-      resp.status = req.opcode == Opcode::add ? BStatus::key_exists : BStatus::key_not_found;
-    }
-    if (appends && resp.status != BStatus::ok) resp.status = BStatus::not_stored;
+    resp.status = binary_status(op.value_or(Op::version), out.code);
     // Quiet gets say nothing on a miss (pipelined multiget).
     reply = !(bproto::is_quiet(req.opcode) && out.code == Code::not_found);
     resp.number = out.number;
@@ -532,14 +524,11 @@ void Server::attach_ucr_frontend(ucr::Runtime& runtime) {
              auto* state = static_cast<UcrConnState*>(ep.user_data());
              if (state == nullptr) return {};  // connection already reaped
              auto item = store_.allocate_item(key, data_len, req.flags, req.exptime);
-             if (!item.ok()) {
-               // Remember the failure so the completion path can answer
-               // with an error instead of the client timing out.
-               state->pending_sets[req.req_id] = nullptr;
-               return {};
-             }
+             // A failure is remembered so the completion path can answer
+             // with its error instead of the client timing out.
+             state->pending_sets.insert_or_assign(req.req_id, item);
+             if (!item.ok()) return {};
              register_new_slab_pages();
-             state->pending_sets[req.req_id] = *item;
              return (*item)->value_mut();
            },
        .on_complete =
@@ -572,8 +561,11 @@ void Server::attach_ucr_frontend(ucr::Runtime& runtime) {
              if (state == nullptr) return;  // connection already reaped
              auto it = state->pending_sets.find(req.req_id);
              if (it != state->pending_sets.end()) {
-               work.prepared_item = it->second;
-               work.alloc_failed = it->second == nullptr;
+               if (it->second.ok()) {
+                 work.prepared_item = *it->second;
+               } else {
+                 work.alloc_error = it->second.error();
+               }
                state->pending_sets.erase(it);
              }
              // Same worker for all requests of this endpoint (§V-A).
@@ -598,7 +590,7 @@ void Server::attach_ucr_frontend(ucr::Runtime& runtime) {
     auto* state = static_cast<UcrConnState*>(ep.user_data());
     if (state == nullptr) return;
     for (auto& [req_id, item] : state->pending_sets) {
-      if (item != nullptr) store_.abandon_item(item);
+      if (item.ok()) store_.abandon_item(*item);
     }
     state->pending_sets.clear();
     ep.set_user_data(nullptr);
@@ -852,8 +844,8 @@ sim::Task<> Server::process_ucr(Work& work, WorkerScratch& scratch) {
   {
     obs::ProfScope exec_prof{kProfExecute};
     // A storage value that never had a home (too large / out of memory).
-    out = work.alloc_failed
-              ? Outcome{.code = Code::out_of_memory}
+    out = work.alloc_error != Errc::ok
+              ? Outcome{.code = store_code(work.alloc_error)}
               : serve({.op = req.op,
                        .key = work.key(),
                        .flags = req.flags,

@@ -103,7 +103,7 @@ class Server {
     std::array<char, proto::Request::kMaxKeyLen> key_buf{};
     std::uint16_t key_len = 0;
     ItemHeader* prepared_item = nullptr;  ///< SET: already filled by RDMA/eager
-    bool alloc_failed = false;            ///< SET: header handler could not allocate
+    Errc alloc_error = Errc::ok;          ///< SET: why the header handler could not allocate
     bool is_ucr = false;
     sim::Time enqueued_at = 0;  ///< worker-queue wait start (stage.queue timer)
     // Multiget (Op::mget): the packed key block, copied out of the AM

@@ -59,7 +59,9 @@ struct RequestHeader {
   }
 };
 
-/// Response status (a compact mirror of the text protocol's reply lines).
+/// Response status: one per row of the outcome table (command.hpp), so
+/// the byte decodes exactly, plus the ring's reply_overflow. Values are
+/// wire bytes: append only.
 enum class RStatus : std::uint8_t {
   ok,          ///< generic success (flush_all, version)
   stored,
@@ -70,8 +72,14 @@ enum class RStatus : std::uint8_t {
   touched,
   number,      ///< incr/decr result in `number`
   value,       ///< GET hit: flags/cas set, value in AM data
-  client_error,
-  server_error,
+  client_error,  ///< non-numeric incr/decr
+  server_error,  ///< out of memory (also: the reply could not be sent)
+  bad_format,
+  too_large,
+  unsupported,
+  /// RFP ring only, not an outcome: the reply did not fit one response
+  /// slot, so the client re-runs the op over RPC (DESIGN.md §16).
+  reply_overflow,
 };
 
 struct ResponseHeader {

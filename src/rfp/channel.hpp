@@ -73,7 +73,7 @@ class Channel {
   /// `hdr | head | tail` (key + inline value for plain ops; the packed
   /// key block as `head` for mget). Non-ok = use the RPC path; ok =
   /// definitive server answer (the caller must still treat
-  /// RStatus::server_error as "reply did not fit — re-run over RPC") and
+  /// RStatus::reply_overflow as "reply did not fit — re-run over RPC") and
   /// owns `slot` until release().
   sim::Task<Result<OpResult>> execute(ucr::Endpoint& ep, const mc::ucrp::RequestHeader& hdr,
                                       std::span<const std::byte> head,

@@ -240,7 +240,7 @@ std::size_t RingServer::seal_response(ClientRing& ring, std::uint32_t slot,
   if (ucrp::ResponseHeader::kSize + value.size() > capacity) {
     // Reply cannot be framed in one slot: tell the client to re-run the
     // op over classic RPC (the fallback matrix in DESIGN.md §16).
-    out.status = ucrp::RStatus::server_error;
+    out.status = ucrp::RStatus::reply_overflow;
     value = {};
   }
   const std::span<std::byte> body = frame_body(staging);
@@ -260,7 +260,7 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
   const std::span<std::byte> staging = slot_span(ring.staging, slot, ring.slot_size);
   const std::span<std::byte> body = frame_body(staging);
   const auto key_count = static_cast<std::uint32_t>(req.delta);
-  const ucrp::ResponseHeader overflow{.status = ucrp::RStatus::server_error,
+  const ucrp::ResponseHeader overflow{.status = ucrp::RStatus::reply_overflow,
                                       .req_id = req.req_id};
 
   // Single-chunk layout: ResponseHeader | MgetChunkHeader | records | values.
@@ -292,14 +292,14 @@ sim::Task<std::size_t> RingServer::execute(ClientRing& ring, std::uint32_t slot,
 
   ucrp::ResponseHeader resp;
   if (body.size() < ucrp::RequestHeader::kSize) {
-    resp.status = ucrp::RStatus::client_error;
+    resp.status = ucrp::RStatus::bad_format;
     co_return seal_response(ring, slot, resp, {});
   }
   const auto req = codec::decode<ucrp::RequestHeader>(body.data());
   resp.req_id = req.req_id;
   const std::span<const std::byte> tail = body.subspan(ucrp::RequestHeader::kSize);
   if (tail.size() < req.key_len) {
-    resp.status = ucrp::RStatus::client_error;
+    resp.status = ucrp::RStatus::bad_format;
     co_return seal_response(ring, slot, resp, {});
   }
   const std::string_view key{reinterpret_cast<const char*>(tail.data()), req.key_len};

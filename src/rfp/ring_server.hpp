@@ -102,7 +102,7 @@ class RingServer {
   sim::Task<> poll_loop();
   /// Execute one verified request frame and seal the response frame into
   /// the ring's staging slot. Returns the sealed frame length (0 = the
-  /// reply cannot be represented; a server_error frame is sealed instead).
+  /// reply cannot be represented; a reply_overflow frame is sealed instead).
   sim::Task<std::size_t> execute(ClientRing& ring, std::uint32_t slot,
                                  std::span<const std::byte> body);
   std::size_t seal_response(ClientRing& ring, std::uint32_t slot,

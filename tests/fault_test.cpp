@@ -404,5 +404,46 @@ TEST(McRecovery, PartitionHealsAndClientReconnects) {
   EXPECT_GT(metric("mc.client.reconnects"), reconnects_before);
 }
 
+// An incr whose reply outlives op_timeout may already have been applied:
+// the retry loop must not send it again. The request and its reply are
+// each delayed 250 us against a 300 us op timeout; the delay clears just
+// before the timeout, so a retry would go through at once and bump the
+// counter a second time. The caller gets timed_out and the counter moves
+// exactly once.
+TEST(McRecovery, TimedOutIncrIsNotRetried) {
+  mc::ClientBehavior behavior = recovery_behavior();
+  behavior.max_retries = 1;
+  McPool pool(1, behavior);
+  const std::uint64_t retries_before = metric("mc.client.retries");
+
+  pool.drive([](McPool& pool2) -> Task<> {
+    mc::Client& client = *pool2.client;
+    EXPECT_TRUE((co_await client.connect_all()).ok());
+    EXPECT_TRUE((co_await client.set("ctr", bytes_view("0"))).ok());
+
+    const sim::NicAddr server = pool2.runtimes[0]->addr();
+    const sim::NicAddr me = pool2.client_ucr->addr();
+    pool2.fabric.faults().set_link_delay(server, me, 250_us);
+    pool2.sched.spawn([](McPool& p, sim::NicAddr a, sim::NicAddr b) -> Task<> {
+      co_await p.sched.delay(290_us);
+      p.fabric.faults().set_link_delay(a, b, 0);
+    }(pool2, server, me));
+    auto bumped = co_await client.incr("ctr", 1);
+    EXPECT_FALSE(bumped.ok()) << "incr reported " << (bumped.ok() ? *bumped : 0);
+    if (!bumped.ok()) {
+      EXPECT_EQ(bumped.error(), Errc::timed_out);
+    }
+
+    co_await pool2.sched.delay(1_ms);  // let the late reply land
+    auto got = co_await client.get("ctr");
+    EXPECT_TRUE(got.ok());
+    if (got.ok()) {
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(got->data.data()), got->data.size()),
+                "1");
+    }
+  }(pool));
+  EXPECT_EQ(metric("mc.client.retries"), retries_before);
+}
+
 }  // namespace
 }  // namespace rmc

@@ -1,9 +1,12 @@
-// Fuzz harness for the memcached request parsers (text + binary). The
-// server feeds both parsers raw socket bytes, so arbitrary input must
-// never crash, loop, or read out of bounds. Beyond that, parsing must be
-// chunking-invariant: feeding the same bytes all at once or split into
+// Fuzz harness for the memcached wire parsers (text + binary), both
+// directions. The server feeds the request parsers raw socket bytes and
+// the client feeds the reply parsers raw socket bytes, so arbitrary input
+// must never crash, loop, or read out of bounds. Beyond that, parsing must
+// be chunking-invariant: feeding the same bytes all at once or split into
 // two arbitrary chunks yields the same accept/reject sequence — the
-// incremental buffering the connection loops depend on.
+// incremental buffering the connection loops depend on. Every parsed reply
+// also runs through the client's decode to its outcome row (text_code /
+// binary_code), and the decoded rows must be chunking-invariant too.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "memcached/binary.hpp"
+#include "memcached/command.hpp"
 #include "memcached/protocol.hpp"
 
 #define FUZZ_REQUIRE(cond)                                                  \
@@ -25,39 +29,71 @@
 
 namespace {
 
-/// Parse everything buffered; returns (requests accepted, hit an error).
-template <typename Parser>
-std::pair<int, bool> drain(Parser& parser) {
-  int accepted = 0;
+using namespace rmc::mc;
+
+/// What one parser made of its input: a decoded value per accepted item,
+/// and whether it hit an error.
+struct Drained {
+  std::vector<int> decoded;
+  bool error = false;
+};
+
+/// Parse everything buffered (`expect`: the text reply parser's shape).
+template <typename Parser, typename Decode, typename... Expect>
+void drain(Parser& parser, Decode decode, Drained& out, Expect... expect) {
   for (;;) {
-    auto r = parser.next();
-    if (!r.ok()) return {accepted, true};
-    if (!r->has_value()) return {accepted, false};
-    ++accepted;
-    // Termination: the parser may never accept more requests than bytes.
-    FUZZ_REQUIRE(accepted <= 1 << 20);
+    auto r = parser.next(expect...);
+    if (!r.ok()) {
+      out.error = true;
+      return;
+    }
+    if (!r->has_value()) return;
+    out.decoded.push_back(decode(**r));
+    // Termination: the parser may never accept an unbounded item stream.
+    FUZZ_REQUIRE(out.decoded.size() <= 1 << 20);
   }
 }
 
-template <typename Parser>
-void check_chunking_invariance(std::span<const std::byte> bytes, std::size_t split) {
+template <typename Parser, typename Decode, typename... Expect>
+void check_chunking_invariance(std::span<const std::byte> bytes, std::size_t split,
+                               Decode decode, Expect... expect) {
   Parser whole;
   whole.feed(bytes);
-  const auto one_shot = drain(whole);
+  Drained one_shot;
+  drain(whole, decode, one_shot, expect...);
 
   Parser chunked;
   split = bytes.empty() ? 0 : split % (bytes.size() + 1);
   chunked.feed(bytes.first(split));
-  auto partial = drain(chunked);
-  if (!partial.second) {
+  Drained parts;
+  drain(chunked, decode, parts, expect...);
+  if (!parts.error) {
     chunked.feed(bytes.subspan(split));
-    const auto rest = drain(chunked);
-    FUZZ_REQUIRE(partial.first + rest.first == one_shot.first);
-    FUZZ_REQUIRE(rest.second == one_shot.second);
+    drain(chunked, decode, parts, expect...);
+    FUZZ_REQUIRE(parts.decoded == one_shot.decoded);
+    FUZZ_REQUIRE(parts.error == one_shot.error);
   } else {
     // An error surfaced from the prefix alone must also surface whole.
-    FUZZ_REQUIRE(one_shot.second);
+    FUZZ_REQUIRE(one_shot.error);
   }
+}
+
+int request_kind(const proto::Request& req) { return static_cast<int>(req.command); }
+int request_kind(const bproto::Request& req) { return static_cast<int>(req.opcode); }
+
+int text_row(const proto::Response& reply) {
+  const Code code = text_code(reply);
+  FUZZ_REQUIRE(code <= Code::unsupported);
+  return static_cast<int>(code);
+}
+
+/// The row a binary reply decodes to, for an op whose binary quirks apply
+/// (add) and one that has none (get).
+int binary_row(const bproto::Response& reply) {
+  const Code add = binary_code(Op::add, reply.status);
+  const Code get = binary_code(Op::get, reply.status);
+  FUZZ_REQUIRE(add <= Code::unsupported && get <= Code::unsupported);
+  return static_cast<int>(add) * 256 + static_cast<int>(get);
 }
 
 }  // namespace
@@ -68,8 +104,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const std::span<const std::byte> bytes{
       reinterpret_cast<const std::byte*>(data + 1), size - 1};
 
-  check_chunking_invariance<rmc::mc::proto::RequestParser>(bytes, split);
-  check_chunking_invariance<rmc::mc::bproto::RequestParser>(bytes, split);
+  auto kind = [](const auto& req) { return request_kind(req); };
+  check_chunking_invariance<proto::RequestParser>(bytes, split, kind);
+  check_chunking_invariance<bproto::RequestParser>(bytes, split, kind);
+  using Expect = proto::ResponseParser::Expect;
+  for (const Expect expect : {Expect::simple, Expect::values, Expect::number}) {
+    check_chunking_invariance<proto::ResponseParser>(bytes, split, text_row, expect);
+  }
+  check_chunking_invariance<bproto::ResponseParser>(bytes, split, binary_row);
   return 0;
 }
 

@@ -314,9 +314,9 @@ Task<> outcome_rows(Client& client, std::span<const std::byte> huge, std::string
 }
 
 TEST(EndToEnd, OutcomeMatrixPinsEveryWire) {
-  // The wires share one store but not one status vocabulary; this pins
-  // what each reports today, row by row, differences included.
-  const std::string common =
+  // The wires share one store and one outcome table, so every row reads
+  // the same whichever wire served it.
+  const std::string expected =
       "stored ok\n"
       "hit ok v1 flags 3\n"
       "miss not_found\n"
@@ -328,37 +328,23 @@ TEST(EndToEnd, OutcomeMatrixPinsEveryWire) {
       "delete-hit ok\n"
       "delete-miss not_found\n"
       "incr-number ok 42\n"
-      "incr-miss not_found\n";
-  const std::string text = common +
-                           "incr-non-numeric invalid_argument\n"
-                           "touch-hit ok\n"
-                           "touch-miss not_found\n"
-                           "too-large protocol_error\n"
-                           "too-large-get not_found\n";
-  const std::string binary = common +
-                             "incr-non-numeric invalid_argument\n"
-                             "touch-hit ok\n"
-                             "touch-miss not_found\n"
-                             "too-large too_large\n"
-                             "too-large-get not_found\n";
-  const std::string ucr = common +
-                          "incr-non-numeric invalid_argument\n"
-                          "touch-hit ok\n"
-                          "touch-miss not_found\n"
-                          "too-large no_resources\n"
-                          "too-large-get not_found\n";
+      "incr-miss not_found\n"
+      "incr-non-numeric invalid_argument\n"
+      "touch-hit ok\n"
+      "touch-miss not_found\n"
+      "too-large too_large\n"
+      "too-large-get not_found\n";
   struct Wire {
     const char* name;
     ClientBehavior::Mode mode;
     bool socket;
     bool binary;
-    const std::string* expected;
   };
   const Wire wires[] = {
-      {"text", ClientBehavior::Mode::rpc, true, false, &text},
-      {"binary", ClientBehavior::Mode::rpc, true, true, &binary},
-      {"ucr rpc", ClientBehavior::Mode::rpc, false, false, &ucr},
-      {"ucr rfp", ClientBehavior::Mode::rfp, false, false, &ucr},
+      {"text", ClientBehavior::Mode::rpc, true, false},
+      {"binary", ClientBehavior::Mode::rpc, true, true},
+      {"ucr rpc", ClientBehavior::Mode::rpc, false, false},
+      {"ucr rfp", ClientBehavior::Mode::rfp, false, false},
   };
   for (const Wire& wire : wires) {
     const std::uint64_t rfp_ops = obs::registry().counter("mc.rfp.ops").value();
@@ -376,11 +362,123 @@ TEST(EndToEnd, OutcomeMatrixPinsEveryWire) {
     }
     std::string log;
     bed.run(outcome_rows(*client, huge, &log));
-    EXPECT_EQ(log, *wire.expected) << wire.name;
+    EXPECT_EQ(log, expected) << wire.name;
     if (wire.mode == ClientBehavior::Mode::rfp) {
       EXPECT_GT(obs::registry().counter("mc.rfp.ops").value() - rfp_ops, 10u);
     }
   }
+}
+
+/// Ops that each outcome row can answer; not_stored covers the binary
+/// add/replace quirks and the append/prepend rewrite.
+std::vector<Op> ops_answered_by(Code code) {
+  switch (code) {
+    case Code::ok: return {Op::flush_all};
+    case Code::value: return {Op::get, Op::gets};
+    case Code::stored: return {Op::set, Op::cas};
+    case Code::deleted: return {Op::del};
+    case Code::touched: return {Op::touch};
+    case Code::number: return {Op::incr, Op::decr};
+    case Code::not_stored: return {Op::add, Op::replace, Op::append, Op::prepend};
+    case Code::exists: return {Op::cas};
+    case Code::not_found: return {Op::del, Op::touch, Op::incr};
+    case Code::non_numeric: return {Op::incr, Op::decr};
+    case Code::bad_format:
+    case Code::too_large:
+    case Code::out_of_memory: return {Op::set, Op::append};
+    case Code::unsupported: return {Op::version};
+  }
+  return {};
+}
+
+bproto::Opcode binary_opcode(Op op) {
+  switch (op) {
+    case Op::get:
+    case Op::gets: return bproto::Opcode::get;
+    case Op::add: return bproto::Opcode::add;
+    case Op::replace: return bproto::Opcode::replace;
+    case Op::append: return bproto::Opcode::append;
+    case Op::prepend: return bproto::Opcode::prepend;
+    case Op::del: return bproto::Opcode::del;
+    case Op::incr: return bproto::Opcode::increment;
+    case Op::decr: return bproto::Opcode::decrement;
+    case Op::touch: return bproto::Opcode::touch;
+    case Op::flush_all: return bproto::Opcode::flush;
+    case Op::version: return bproto::Opcode::version;
+    default: return bproto::Opcode::set;
+  }
+}
+
+TEST(OutcomeTable, EveryRowDecodesToItsErrcOnEveryWire) {
+  // Server-side encode, then client-side decode, for every row of the
+  // outcome table on every wire: the reply decodes back to its own row,
+  // and the caller sees that row's Errc. This covers rows the end-to-end
+  // matrix cannot easily trigger (bad_format, out_of_memory, unsupported).
+  // The RFP ring encodes its replies with the UCR header, so the UCR leg
+  // covers both rpc and rfp.
+  const auto rows = static_cast<std::size_t>(Code::unsupported) + 1;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto code = static_cast<Code>(i);
+    const OutcomeRow& row = outcome_row(code);
+    const std::vector<Op> ops = ops_answered_by(code);
+    ASSERT_FALSE(ops.empty()) << "row " << i;
+    for (const Op op : ops) {
+      SCOPED_TRACE("row " + std::to_string(i) + " op " + std::to_string(static_cast<int>(op)));
+      const Errc want = row.errc;
+      // A miss on the text wire is an empty VALUE block, checked below;
+      // every other row travels as its reply line.
+
+      // Text.
+      proto::Response text;
+      text.type = row.text;
+      text.message = std::string(row.message);
+      text.number = 42;
+      if (code == Code::value) text.values.push_back({.key = "k", .flags = 3, .data = {std::byte{'v'}}});
+      proto::ResponseParser text_parser;
+      text_parser.feed(proto::encode_response(text, false));
+      using Expect = proto::ResponseParser::Expect;
+      const Expect expect = op == Op::get || op == Op::gets ? Expect::values
+                            : op == Op::incr || op == Op::decr ? Expect::number
+                                                               : Expect::simple;
+      auto text_reply = text_parser.next(expect);
+      ASSERT_TRUE(text_reply.ok());
+      ASSERT_TRUE(text_reply->has_value());
+      EXPECT_EQ(text_code(**text_reply), code);
+      EXPECT_EQ(caller_errc(op, text_code(**text_reply)), want);
+
+      // Binary.
+      bproto::Response binary;
+      binary.opcode = binary_opcode(op);
+      binary.status = binary_status(op, code);
+      bproto::ResponseParser binary_parser;
+      binary_parser.feed(bproto::encode_response(binary));
+      auto binary_reply = binary_parser.next();
+      ASSERT_TRUE(binary_reply.ok());
+      ASSERT_TRUE(binary_reply->has_value());
+      const Code binary_decoded = binary_code(op, (*binary_reply)->status);
+      // Binary folds a failed append/prepend into not_stored.
+      const bool folded = (op == Op::append || op == Op::prepend) && want != Errc::ok;
+      EXPECT_EQ(binary_decoded, folded ? Code::not_stored : code);
+      if (!folded) {
+        EXPECT_EQ(caller_errc(op, binary_decoded), want);
+      }
+
+      // UCR (rpc and the RFP ring).
+      std::byte wire[ucrp::ResponseHeader::kSize];
+      codec::encode(ucr_reply_header({.code = code}, 7), wire);
+      const auto header = codec::decode<ucrp::ResponseHeader>(wire);
+      EXPECT_EQ(ucr_code(header.status), code);
+      EXPECT_EQ(caller_errc(op, ucr_code(header.status)), want);
+    }
+  }
+  // The text miss: an empty VALUE block.
+  proto::ResponseParser parser;
+  parser.feed(proto::encode_response({.type = proto::Response::Type::values}, false));
+  auto miss = parser.next(proto::ResponseParser::Expect::values);
+  ASSERT_TRUE(miss.ok() && miss->has_value());
+  EXPECT_EQ(text_code(**miss), Code::not_found);
+  // The ring's slot-overflow status is framing, not an outcome.
+  EXPECT_EQ(ucr_code(ucrp::RStatus::reply_overflow), Code::unsupported);
 }
 
 TEST(EndToEnd, MalformedMgetChunkFailsTheRequest) {

@@ -235,7 +235,7 @@ struct RfpWorld {
   sim::Host server_host{sched, 0, "server", 8};
   verbs::Hca server_hca{sched, fabric, server_host};
   ucr::Runtime server_ucr{server_hca};
-  mc::Server server{sched, server_host, mc::ServerConfig{}};
+  mc::Server server;
   std::unique_ptr<rfp::RingServer> ring;
 
   sim::Host client_host{sched, 1, "client", 8};
@@ -243,8 +243,9 @@ struct RfpWorld {
   ucr::Runtime client_ucr{client_hca};
   std::unique_ptr<mc::Client> client;
 
-  explicit RfpWorld(mc::ClientBehavior behavior = {},
-                    rfp::RingServerConfig ring_cfg = {}) {
+  explicit RfpWorld(mc::ClientBehavior behavior = {}, rfp::RingServerConfig ring_cfg = {},
+                    mc::ServerConfig server_cfg = {})
+      : server(sched, server_host, server_cfg) {
     server.attach_ucr_frontend(server_ucr);
     ring = std::make_unique<rfp::RingServer>(server_ucr, server_host, server.store(),
                                              ring_cfg);
@@ -577,6 +578,33 @@ TEST(Rfp, TimedOutRingIncrIsNotReRunOverRpc) {
       EXPECT_EQ(std::string(reinterpret_cast<const char*>(got->data.data()), got->data.size()),
                 "1");
     }
+  }(w));
+}
+
+// A store error the ring served is the answer: only the slot-overflow
+// status may send an op back over RPC. A value that fits one request
+// slot but exceeds the largest slab class fails in the store on the
+// ring, and must come back as too_large without a fallback or a second
+// execution over RPC.
+TEST(Rfp, RingStoreErrorIsNotReRunOverRpc) {
+  mc::ServerConfig server_cfg;
+  server_cfg.store.slabs.chunk_max = 1024;
+  RfpWorld w({}, {}, server_cfg);
+
+  w.drive([](RfpWorld& wk) -> Task<> {
+    EXPECT_TRUE((co_await wk.client->connect_all()).ok());
+    const std::uint64_t ops0 = metric("mc.rfp.ops");
+    const std::uint64_t falls0 = metric("mc.rfp.fallbacks");
+    const std::uint64_t rpc0 = metric("mc.requests.ucr");
+    const std::string big(1500, 'b');  // < one 2 KB request slot, > chunk_max
+    auto st = co_await wk.client->set("big", bytes_view(big));
+    EXPECT_FALSE(st.ok());
+    if (!st.ok()) {
+      EXPECT_EQ(st.error(), Errc::too_large);
+    }
+    EXPECT_EQ(metric("mc.rfp.ops") - ops0, 1u);
+    EXPECT_EQ(metric("mc.rfp.fallbacks") - falls0, 0u);
+    EXPECT_EQ(metric("mc.requests.ucr") - rpc0, 0u);
   }(w));
 }
 
