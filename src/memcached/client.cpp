@@ -6,6 +6,7 @@
 #include <array>
 #include <cassert>
 #include <cstring>
+#include <memory>
 
 #include "common/log.hpp"
 #include "ucr/wire.hpp"
@@ -125,35 +126,26 @@ class StreamConn : public ServerConn {
   }
 
  protected:
-  /// Charge the request marshalling (format_ns) and send `request`.
-  sim::Task<Status> send(std::span<const std::byte> request) {
-    co_await host_->cpu().consume(behavior_.format_ns);
-    auto sent = co_await socket_->send(request);
-    if (!sent.ok()) co_return sent.error();
-    co_return Status{};
-  }
-
-  /// Read the next reply off the stream (`expect`: the text parser's
-  /// reply shape; the binary parser takes none).
+  /// Charge the request marshalling (format_ns), send `request`, and read
+  /// the next reply off the stream. An empty request only reads: the
+  /// pipelined replies after the first. `expect`: the text parser's reply
+  /// shape; the binary parser takes none.
   template <class... Expect>
-  sim::Task<Result<Response>> receive(Expect... expect) {
-    std::vector<std::byte> chunk(16 * 1024);
+  sim::Task<Result<Response>> round_trip(std::span<const std::byte> request, Expect... expect) {
+    if (!request.empty()) {
+      co_await host_->cpu().consume(behavior_.format_ns);
+      auto sent = co_await socket_->send(request);
+      if (!sent.ok()) co_return sent.error();
+    }
     while (true) {
       auto parsed = parser_.next(expect...);
       if (!parsed.ok()) co_return parsed.error();
       if (parsed->has_value()) co_return std::move(**parsed);
-      auto n = co_await socket_->recv(chunk);
+      auto n = co_await socket_->recv(rx_buf_);
       if (!n.ok()) co_return n.error();
       if (*n == 0) co_return Errc::disconnected;
-      parser_.feed(std::span<const std::byte>(chunk.data(), *n));
+      parser_.feed(std::span<const std::byte>(rx_buf_.data(), *n));
     }
-  }
-
-  template <class... Expect>
-  sim::Task<Result<Response>> round_trip(std::span<const std::byte> request, Expect... expect) {
-    auto sent = co_await send(request);
-    if (!sent.ok()) co_return sent.error();
-    co_return co_await receive(expect...);
   }
 
   /// Charge copying `bytes` of reply values into the caller's result.
@@ -183,6 +175,7 @@ class StreamConn : public ServerConn {
   std::uint16_t port_;
   sock::Socket* socket_ = nullptr;
   Parser parser_;
+  std::array<std::byte, 16 * 1024> rx_buf_;  ///< recv landing area, reused by every op
 };
 
 // ---------------------------------------------------------------- text --
@@ -336,12 +329,12 @@ class BinaryConn final : public StreamConn<bproto::ResponseParser, bproto::Respo
     fence.opaque = 0xffffffff;
     const auto fence_bytes = bproto::encode_request(fence);
     wire.insert(wire.end(), fence_bytes.begin(), fence_bytes.end());
-    auto sent = co_await send(wire);
-    if (!sent.ok()) co_return sent.error();
 
     std::vector<std::optional<proto::Value>> out(keys.size());
+    std::span<const std::byte> pending = wire;
     while (true) {
-      auto resp = co_await receive();
+      auto resp = co_await round_trip(pending);
+      pending = {};
       if (!resp.ok()) co_return resp.error();
       if (resp->opcode == bproto::Opcode::noop) co_return out;
       if (resp->opcode == bproto::Opcode::getkq && resp->opaque < out.size()) {
@@ -402,7 +395,11 @@ class UcrConn final : public ServerConn {
       : sched_(&sched), host_(&host), behavior_(behavior), runtime_(&runtime), addr_(addr),
         port_(port) {
     ensure_handler(runtime);
-    arena_.resize(std::max<std::size_t>(behavior.arena_bytes, 1024));
+    // Uninitialized, like the ucr::Runtime arenas: a bump-allocated landing
+    // area is written (by RDMA or a memcpy) before any byte of it is read,
+    // and zeroing 8 MiB per connection would fault in every page at setup.
+    arena_size_ = std::max<std::size_t>(behavior.arena_bytes, 1024);
+    arena_ = std::make_unique_for_overwrite<std::byte[]>(arena_size_);
     // Endpoint death must not leave in-flight operations to ride out their
     // timeouts: fail every pending request the moment the runtime reports
     // the endpoint down, so callers see Errc::disconnected immediately.
@@ -426,7 +423,7 @@ class UcrConn final : public ServerConn {
     if (!r.ok()) co_return r.error();
     ep_ = *r;
     ep_->set_user_data(this);
-    runtime_->register_region(arena_);
+    runtime_->register_region({arena_.get(), arena_size_});
     const auto mode = behavior_.mode;
     if (mode == ClientBehavior::Mode::onesided_get && !behavior_.unreliable_ucr) {
       // Bootstrap the one-sided index descriptor (one RPC). Failure only
@@ -1036,13 +1033,13 @@ class UcrConn final : public ServerConn {
 
   // ---- local buffer pool (bump arena, reset when quiescent) ----
   std::span<std::byte> arena_alloc(std::size_t len) {
-    if (arena_offset_ + len > arena_.size()) {
+    if (arena_offset_ + len > arena_size_) {
       // Overflow: fall back to a side buffer (registered on demand).
       obs::registry().counter("mc.alloc.arena_overflows").inc();
       overflow_.push_back(std::vector<std::byte>(len));
       return overflow_.back();
     }
-    auto out = std::span<std::byte>(arena_.data() + arena_offset_, len);
+    auto out = std::span<std::byte>(arena_.get() + arena_offset_, len);
     arena_offset_ += len;
     return out;
   }
@@ -1081,7 +1078,8 @@ class UcrConn final : public ServerConn {
 
   SlotMap<Pending> pending_;
 
-  std::vector<std::byte> arena_;
+  std::unique_ptr<std::byte[]> arena_;
+  std::size_t arena_size_ = 0;
   std::size_t arena_offset_ = 0;
   std::vector<std::vector<std::byte>> overflow_;
 

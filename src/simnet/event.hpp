@@ -9,7 +9,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -53,26 +52,27 @@ class Event {
 /// Monotonic counter with threshold waits and timeouts.
 ///
 /// wait_geq() resolves to true when the counter reaches the threshold and
-/// to false if the timeout elapses first. With kNoTimeout it never times
-/// out. Multiple waiters with different thresholds are supported.
+/// to false if the timeout elapses first (or fail_waiters() runs). With
+/// kNoTimeout it never times out. Multiple waiters with different
+/// thresholds are supported.
 ///
-/// Allocation: a kNoTimeout wait registers an intrusive node living in the
+/// Allocation: every wait registers an intrusive node living in the
 /// awaiter itself (inside the suspended coroutine frame, whose address is
-/// stable), so the steady-state request path never heap-allocates here.
-/// Timed waits still share state with their timer closure via shared_ptr —
-/// the timer can outlive both the waiter and the Counter, so intrusive
-/// registration would dangle.
+/// stable), so the steady-state request path never heap-allocates here. A
+/// timed wait also arms a scheduler timer whose closure points at that
+/// node. The timer never outlives the node: a wait that ends any other way
+/// (threshold met, fail_waiters, frame destroyed) cancels it, so a
+/// finished op leaves nothing queued behind it.
 class Counter {
  public:
   explicit Counter(Scheduler& sched) : sched_(&sched) {}
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
-  /// Detaches every intrusive waiter, so a frame still suspended here may
-  /// be destroyed after the counter without touching it.
+  /// Detaches every waiter, so a frame still suspended here may be
+  /// destroyed after the counter without touching it. A detached timed
+  /// waiter still times out (resolves false).
   ~Counter() {
-    for (auto& w : waiters_) {
-      if (w.node != nullptr) w.node->registered = nullptr;
-    }
+    for (auto& w : waiters_) w.node->registered = nullptr;
   }
 
   std::uint64_t value() const { return value_; }
@@ -87,18 +87,7 @@ class Counter {
   /// never complete — e.g. the endpoint that would have bumped this
   /// counter died. Future waiters are unaffected.
   void fail_waiters() {
-    for (auto& w : waiters_) {
-      if (w.node != nullptr) {
-        w.node->registered = nullptr;
-        w.node->failed = true;
-        sched_->resume_at(sched_->now(), w.node->handle);
-      } else {
-        if (w.state->done) continue;
-        w.state->done = true;
-        w.state->success = false;
-        sched_->resume_at(sched_->now(), w.state->handle);
-      }
-    }
+    for (auto& w : waiters_) wake(*w.node, /*failed=*/true);
     waiters_.clear();
   }
 
@@ -108,8 +97,7 @@ class Counter {
       Counter& counter;
       std::uint64_t threshold;
       Time timeout;
-      IntrusiveWaiter node;              // kNoTimeout: lives in this frame
-      std::shared_ptr<WaitState> state;  // timed: shared with the timer
+      Node node;
 
       Awaiter(Counter& c, std::uint64_t th, Time to)
           : counter(c), threshold(th), timeout(to) {}
@@ -117,60 +105,48 @@ class Counter {
       Awaiter& operator=(const Awaiter&) = delete;
 
       ~Awaiter() {
-        // Frame destroyed while still waiting (teardown): unregister so
-        // the counter never touches freed memory.
+        // Frame destroyed while still waiting (teardown): unregister and
+        // cancel the timer so neither touches freed memory.
         if (node.registered != nullptr) node.registered->deregister(&node);
+        node.disarm();
       }
 
       bool await_ready() const noexcept { return counter.value_ >= threshold; }
       void await_suspend(std::coroutine_handle<> h) {
         counter.waits_metric_().inc();
-        if (timeout == kNoTimeout) {
-          node.handle = h;
-          node.registered = &counter;
-          // rmclint:allow(zeroalloc): intrusive node lives in the coroutine frame; vector reuses capacity
-          counter.waiters_.push_back({threshold, &node, nullptr});
-          return;
-        }
-        // rmclint:allow(zeroalloc): timed waits allocate by design and are metered via sim.counter.waits; hot paths use kNoTimeout
-        state = std::make_shared<WaitState>();
-        state->handle = h;
-        // rmclint:allow(zeroalloc): waiter vector reuses capacity reached during warmup
-        counter.waiters_.push_back({threshold, nullptr, state});
-        auto s = state;
-        auto* sched = counter.sched_;
-        sched->call_in(timeout, [s, sched] {
-          if (s->done) return;
-          s->done = true;
-          s->success = false;
-          obs::registry().counter("sim.counter.timeouts").inc();
-          sched->resume_at(sched->now(), s->handle);
-        });
+        node.handle = h;
+        node.registered = &counter;
+        // rmclint:allow(zeroalloc): intrusive node lives in the coroutine frame; vector reuses capacity
+        counter.waiters_.push_back({threshold, &node});
+        if (timeout == kNoTimeout) return;
+        node.timer_sched = counter.sched_;
+        // rmclint:allow(coro-lifetime): the timer never outlives the node — a wait
+        // that ends any other way, or a frame destroyed mid-wait, cancels it.
+        node.timer = counter.sched_->call_in(timeout, [n = &node] { expire(*n); });
       }
-      bool await_resume() const noexcept {
-        return state == nullptr ? !node.failed : state->success;
-      }
+      bool await_resume() const noexcept { return !node.failed; }
     };
     return Awaiter{*this, threshold, timeout};
   }
 
  private:
-  struct WaitState {
-    bool done = false;
-    bool success = false;
+  struct Node {
     std::coroutine_handle<> handle;
-  };
+    Counter* registered = nullptr;     // non-null while on the waiter list
+    Scheduler* timer_sched = nullptr;  // non-null while `timer` is queued
+    TimerId timer;
+    bool failed = false;  // set before resuming by fail_waiters or the timer
 
-  struct IntrusiveWaiter {
-    std::coroutine_handle<> handle;
-    Counter* registered = nullptr;  // non-null while on the waiter list
-    bool failed = false;            // set by fail_waiters before resuming
+    void disarm() {
+      if (timer_sched == nullptr) return;
+      timer_sched->cancel(timer);
+      timer_sched = nullptr;
+    }
   };
 
   struct Waiter {
     std::uint64_t threshold;
-    IntrusiveWaiter* node;  // non-null: intrusive (no timeout)
-    std::shared_ptr<WaitState> state;
+    Node* node;
   };
 
   static obs::Counter& waits_metric_() {
@@ -178,7 +154,27 @@ class Counter {
     return *c;
   }
 
-  void deregister(IntrusiveWaiter* node) {
+  /// The timeout fired first: leave the waiter list (the counter may
+  /// already be gone) and resume with failure.
+  static void expire(Node& node) {
+    static obs::Counter* timeouts = &obs::registry().counter("sim.counter.timeouts");
+    Scheduler* sched = node.timer_sched;
+    node.timer_sched = nullptr;
+    if (node.registered != nullptr) node.registered->deregister(&node);
+    node.failed = true;
+    timeouts->inc();
+    sched->resume_at(sched->now(), node.handle);
+  }
+
+  /// End a wait that is on the list: the caller drops it from waiters_.
+  void wake(Node& node, bool failed) {
+    node.registered = nullptr;
+    node.failed = failed;
+    node.disarm();
+    sched_->resume_at(sched_->now(), node.handle);
+  }
+
+  void deregister(Node* node) {
     for (std::size_t i = 0; i < waiters_.size(); ++i) {
       if (waiters_[i].node == node) {
         waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -193,24 +189,12 @@ class Counter {
     // in place (capacity is retained, so steady state never reallocates).
     std::size_t keep = 0;
     for (std::size_t i = 0; i < waiters_.size(); ++i) {
-      auto& w = waiters_[i];
-      if (w.node != nullptr) {
-        if (value_ >= w.threshold) {
-          w.node->registered = nullptr;
-          sched_->resume_at(sched_->now(), w.node->handle);
-          continue;
-        }
-      } else {
-        if (w.state->done) continue;  // timed out already; drop
-        if (value_ >= w.threshold) {
-          w.state->done = true;
-          w.state->success = true;
-          sched_->resume_at(sched_->now(), w.state->handle);
-          continue;
-        }
+      const Waiter w = waiters_[i];
+      if (value_ >= w.threshold) {
+        wake(*w.node, /*failed=*/false);
+        continue;
       }
-      if (keep != i) waiters_[keep] = std::move(w);
-      ++keep;
+      waiters_[keep++] = w;
     }
     waiters_.resize(keep);  // rmclint:allow(zeroalloc): shrink-only compaction, capacity retained
   }

@@ -37,7 +37,7 @@ Scheduler::~Scheduler() {
   }
 }
 
-void Scheduler::call_at(Time t, UniqueFunction fn) {
+TimerId Scheduler::call_at(Time t, UniqueFunction fn) {
   assert(t >= now_ && "cannot schedule in the past");
   const std::uint64_t seq = seq_++;
   // Park the closure out-of-band; the heap only shuffles (t, seq, slot).
@@ -45,11 +45,11 @@ void Scheduler::call_at(Time t, UniqueFunction fn) {
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    slots_[slot] = std::move(fn);
+    slots_[slot].fn = std::move(fn);
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     // rmclint:allow(zeroalloc): slot slab grows to the high-water mark, then recycles via free_slots_
-    slots_.push_back(std::move(fn));
+    slots_.push_back(Slot{std::move(fn)});
   }
   // Hole-based sift-up: walk the insertion hole toward the root comparing
   // keys only; the entry is materialized once, in its final slot.
@@ -59,10 +59,27 @@ void Scheduler::call_at(Time t, UniqueFunction fn) {
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / kArity;
     if (!before(t, seq, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
+    place(hole, heap_[parent]);
     hole = parent;
   }
-  heap_[hole] = Entry{t, seq, slot};
+  place(hole, Entry{t, seq, slot});
+  return TimerId{seq, slot};
+}
+
+bool Scheduler::cancel(TimerId id) {
+  if (id.slot >= slots_.size()) return false;
+  const std::size_t idx = slots_[id.slot].pos;
+  if (idx >= heap_.size() || heap_[idx].seq != id.seq) return false;
+  erase_at(idx);
+  take_slot(id.slot);  // the discarded closure dies here
+  return true;
+}
+
+UniqueFunction Scheduler::take_slot(std::uint32_t slot) {
+  UniqueFunction fn = std::move(slots_[slot].fn);
+  // rmclint:allow(zeroalloc): returns a slot index to the freelist; capacity reached at warmup
+  free_slots_.push_back(slot);
+  return fn;
 }
 
 void Scheduler::pop_top_into(Entry& out) {
@@ -82,10 +99,10 @@ void Scheduler::pop_top_into(Entry& out) {
         if (before(heap_[c].t, heap_[c].seq, heap_[best])) best = c;
       }
       if (!before(heap_[best].t, heap_[best].seq, tail)) break;
-      heap_[hole] = heap_[best];
+      place(hole, heap_[best]);
       hole = best;
     }
-    heap_[hole] = tail;
+    place(hole, tail);
   }
   heap_.pop_back();
 }
@@ -104,7 +121,7 @@ void Scheduler::erase_at(std::size_t idx) {
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / kArity;
     if (!before(tail.t, tail.seq, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
+    place(hole, heap_[parent]);
     hole = parent;
   }
   const std::size_t size = heap_.size();
@@ -117,10 +134,10 @@ void Scheduler::erase_at(std::size_t idx) {
       if (before(heap_[c].t, heap_[c].seq, heap_[best])) best = c;
     }
     if (!before(heap_[best].t, heap_[best].seq, tail)) break;
-    heap_[hole] = heap_[best];
+    place(hole, heap_[best]);
     hole = best;
   }
-  heap_[hole] = tail;
+  place(hole, tail);
 }
 
 void Scheduler::pop_choice_into(Entry& out) {
@@ -172,9 +189,7 @@ Time Scheduler::run_until(Time deadline) {
     // Move the closure out before dispatching: the callback may push new
     // events (growing/reusing slots_) and may destroy queued frames via
     // teardown. The local dies at scope end, before the next pop.
-    UniqueFunction fn = std::move(slots_[entry.slot]);
-    // rmclint:allow(zeroalloc): returns a slot index to the freelist; capacity reached at warmup
-    free_slots_.push_back(entry.slot);
+    UniqueFunction fn = take_slot(entry.slot);
     {
       obs::ProfScope prof{kProfDispatch};
       fn();

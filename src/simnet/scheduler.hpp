@@ -28,6 +28,14 @@
 // (t, seq) keys are unique, so any min-heap pops the exact same global
 // order — model output is bit-identical to the binary-heap version.
 //
+// Cancellation: every placement of an entry records its heap index under
+// its slot, so cancel() finds a queued event in O(1) and erases it in
+// O(log n). A cancelled event took its seq when it was armed, like any
+// other, so removing it leaves the (t, seq) keys — and hence the dispatch
+// order — of every other event unchanged, with or without a TieBreaker.
+// Op timeouts rely on this: a counter wait that ends before its timeout
+// cancels the timer (simnet/event.hpp), so nothing dead stays queued.
+//
 // Lifetime: root tasks handed to spawn() are owned by the scheduler. A root
 // that finishes frees its own frame (and unregisters); roots still blocked
 // when the Scheduler is destroyed are destroyed then. Never resume a
@@ -51,6 +59,14 @@ class Gauge;
 }  // namespace rmc::obs
 
 namespace rmc::sim {
+
+/// Names one queued callback, for Scheduler::cancel(). A default TimerId
+/// names none; a stale one (its event fired or was cancelled, its slot
+/// perhaps reused) matches nothing, because seqs are never reused.
+struct TimerId {
+  std::uint64_t seq = UINT64_MAX;
+  std::uint32_t slot = 0;
+};
 
 /// Same-timestamp dispatch policy hook (DESIGN.md §17). When installed on a
 /// Scheduler, every pop whose minimum timestamp is shared by several queued
@@ -83,11 +99,16 @@ class Scheduler {
 
   /// Enqueue a callback at absolute time `t` (must be >= now(); asserted
   /// in debug builds so pooled-object reuse bugs fail loudly instead of
-  /// corrupting event order).
-  void call_at(Time t, UniqueFunction fn);
+  /// corrupting event order). The returned id may be passed to cancel().
+  TimerId call_at(Time t, UniqueFunction fn);
 
   /// Enqueue a callback `dt` nanoseconds from now.
-  void call_in(Time dt, UniqueFunction fn) { call_at(now_ + dt, std::move(fn)); }
+  TimerId call_in(Time dt, UniqueFunction fn) { return call_at(now_ + dt, std::move(fn)); }
+
+  /// Remove a still-queued callback without running it; its closure is
+  /// destroyed. Returns false, and removes nothing, if `id` already fired,
+  /// was cancelled, or names no event.
+  bool cancel(TimerId id);
 
   /// Resume a coroutine at absolute time `t`.
   void resume_at(Time t, std::coroutine_handle<> h) {
@@ -122,6 +143,9 @@ class Scheduler {
 
   /// Number of events processed so far (for micro-benchmarks and tests).
   std::uint64_t events_processed() const { return events_processed_; }
+
+  /// Number of events still queued.
+  std::size_t queued() const { return heap_.size(); }
 
   /// Install (or clear, with nullptr) a same-timestamp dispatch policy.
   /// The breaker must outlive its installation. With none installed the
@@ -162,8 +186,24 @@ class Scheduler {
   /// Remove heap_[idx], restoring the heap property (sift up or down).
   void erase_at(std::size_t idx);
 
+  /// Store `e` at heap_[idx] and record idx as its slot's heap position.
+  void place(std::size_t idx, const Entry& e) {
+    heap_[idx] = e;
+    slots_[e.slot].pos = static_cast<std::uint32_t>(idx);
+  }
+
+  /// Move a popped or cancelled event's closure out and recycle its slot.
+  /// The caller destroys (or runs) the closure after this returns: either
+  /// may schedule, growing or reusing slots_.
+  UniqueFunction take_slot(std::uint32_t slot);
+
+  struct Slot {
+    UniqueFunction fn;
+    std::uint32_t pos = 0;  ///< heap_ index while queued; stale once it leaves
+  };
+
   std::vector<Entry> heap_;
-  std::vector<UniqueFunction> slots_;     ///< closures, indexed by Entry::slot
+  std::vector<Slot> slots_;                ///< closures, indexed by Entry::slot
   std::vector<std::uint32_t> free_slots_;  ///< recycled slots_ indices
   std::vector<std::unique_ptr<RootRecord>> roots_;
   std::vector<std::pair<std::uint64_t, std::uint32_t>>

@@ -3,6 +3,7 @@
 // occupancy, fabric timing, and the move-only function wrapper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,6 +71,74 @@ TEST(Scheduler, EventsProcessedCounts) {
   for (int i = 0; i < 5; ++i) sched.call_at(i, [] {});
   sched.run();
   EXPECT_EQ(sched.events_processed(), 5u);
+}
+
+/// Records how many candidates each same-time race offered, and always
+/// takes the first (the default schedule).
+struct RecordingTieBreaker final : TieBreaker {
+  std::vector<std::size_t> races;
+  std::size_t pick(Time, std::size_t ready) override {
+    races.push_back(ready);
+    return 0;
+  }
+};
+
+TEST(Scheduler, CancelKeepsSameTimeOrderOfTheRest) {
+  for (const bool with_breaker : {false, true}) {
+    Scheduler sched;
+    RecordingTieBreaker breaker;
+    if (with_breaker) sched.set_tie_breaker(&breaker);
+    std::vector<int> order;
+    sched.call_at(5, [&] { order.push_back(1); });
+    const TimerId timer = sched.call_at(5, [&] { order.push_back(99); });
+    sched.call_at(5, [&] { order.push_back(2); });
+    EXPECT_TRUE(sched.cancel(timer));
+    sched.call_at(5, [&] { order.push_back(3); });
+    EXPECT_EQ(sched.queued(), 3u);
+    sched.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(sched.events_processed(), 3u);
+    if (with_breaker) {
+      // The cancelled timer is never a candidate.
+      EXPECT_EQ(breaker.races, (std::vector<std::size_t>{3, 2}));
+    }
+  }
+}
+
+TEST(Scheduler, CancelOfFiredOrReusedTimerRemovesNothing) {
+  Scheduler sched;
+  int fired = 0;
+  EXPECT_FALSE(sched.cancel(TimerId{}));
+  const TimerId first = sched.call_at(1, [&] { ++fired; });
+  sched.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sched.cancel(first));  // already fired
+
+  // The next event reuses the fired timer's slot; the stale id must not
+  // reach it.
+  const TimerId second = sched.call_at(10, [&] { fired += 10; });
+  EXPECT_EQ(second.slot, first.slot);
+  EXPECT_FALSE(sched.cancel(first));
+  EXPECT_EQ(sched.queued(), 1u);
+  EXPECT_TRUE(sched.cancel(second));
+  EXPECT_FALSE(sched.cancel(second));  // already cancelled
+  EXPECT_EQ(sched.queued(), 0u);
+  sched.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Scheduler, CancelFromTheMiddleOfALargeHeap) {
+  Scheduler sched;
+  std::vector<TimerId> ids;
+  std::vector<Time> fired;
+  for (Time t = 0; t < 200; ++t) {
+    const Time at = (t * 37) % 101;  // scrambled, with repeats
+    ids.push_back(sched.call_at(at, [&fired, at] { fired.push_back(at); }));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 3) EXPECT_TRUE(sched.cancel(ids[i]));
+  sched.run();
+  EXPECT_EQ(fired.size(), 200u - 67u);
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
 // --------------------------------------------------------------- task ----
@@ -225,9 +294,44 @@ TEST(Counter, CounterBeatsTimeout) {
     out = co_await cc.wait_geq(1, 500);
   }(c, ok));
   sched.call_at(100, [&] { c.add(); });
-  sched.run();  // the stale timeout at t=500 must be a no-op
+  sched.run();
   EXPECT_TRUE(ok);
-  EXPECT_EQ(sched.now(), 500u);
+  // The add cancelled the t=500 timeout: nothing ran or stayed queued after.
+  EXPECT_EQ(sched.now(), 100u);
+  EXPECT_EQ(sched.queued(), 0u);
+}
+
+TEST(Counter, TimedWaitThatSucceedsLeavesTheQueueEmpty) {
+  Scheduler sched;
+  Counter c(sched);
+  bool ok = false;
+  sched.spawn([](Counter& cc, bool& out) -> Task<> {
+    out = co_await cc.wait_geq(1, 500);
+  }(c, ok));
+  sched.run_until(0);
+  EXPECT_EQ(sched.queued(), 1u);  // the armed timeout
+  c.add();                        // wakes the waiter, cancels its timer
+  EXPECT_EQ(sched.queued(), 1u);  // just the resumption
+  sched.run();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(sched.now(), 0u);
+  EXPECT_EQ(sched.events_processed(), 2u);  // spawn + resume; no timer
+}
+
+TEST(Counter, FailWaitersCancelsTheTimeout) {
+  Scheduler sched;
+  Counter c(sched);
+  bool ok = true;
+  Time woke_at = 0;
+  sched.spawn([](Scheduler& s, Counter& cc, bool& out, Time& t) -> Task<> {
+    out = co_await cc.wait_geq(1, 500);
+    t = s.now();
+  }(sched, c, ok, woke_at));
+  sched.call_at(100, [&] { c.fail_waiters(); });
+  sched.run();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(woke_at, 100u);
+  EXPECT_EQ(sched.now(), 100u);
 }
 
 TEST(Counter, SimultaneousAddAndTimeoutIsDeterministic) {
@@ -293,6 +397,56 @@ TEST(Counter, DestroyedBeforeItsSuspendedWaiter) {
     sched.run();  // the root suspends on the counter
     c.reset();
   }  // ~Scheduler destroys the still-suspended frame
+  EXPECT_FALSE(resumed);
+}
+
+TEST(Counter, FrameDestroyedMidTimedWaitLeavesNothingBehind) {
+  // The scheduler's teardown destroys a frame suspended in a timed wait.
+  // Its awaiter must leave the counter's list and cancel its timer.
+  auto sched = std::make_unique<Scheduler>();
+  Counter c(*sched);
+  bool resumed = false;
+  sched->spawn([](Counter& cc, bool& out) -> Task<> {
+    co_await cc.wait_geq(1, 500);
+    out = true;
+  }(c, resumed));
+  sched->run_until(100);
+  EXPECT_EQ(sched->queued(), 1u);
+  sched.reset();
+  c.add();  // would wake the destroyed frame had it stayed on the list
+  EXPECT_FALSE(resumed);
+}
+
+TEST(Counter, DestroyedBeforeItsTimedWaiter) {
+  // A timed waiter outlives its counter: it still times out cleanly...
+  {
+    Scheduler sched;
+    auto c = std::make_unique<Counter>(sched);
+    bool ok = true;
+    bool resumed = false;
+    sched.spawn([](Counter& cc, bool& out, bool& res) -> Task<> {
+      out = co_await cc.wait_geq(1, 500);
+      res = true;
+    }(*c, ok, resumed));
+    sched.run_until(100);
+    c.reset();
+    sched.run();
+    EXPECT_TRUE(resumed);
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(sched.now(), 500u);
+  }
+  // ...or is destroyed, still suspended, by the scheduler's teardown.
+  bool resumed = false;
+  {
+    Scheduler sched;
+    auto c = std::make_unique<Counter>(sched);
+    sched.spawn([](Counter& cc, bool& res) -> Task<> {
+      co_await cc.wait_geq(1, 500);
+      res = true;
+    }(*c, resumed));
+    sched.run_until(100);
+    c.reset();
+  }
   EXPECT_FALSE(resumed);
 }
 

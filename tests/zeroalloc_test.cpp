@@ -65,7 +65,9 @@ std::span<const std::byte> val(const std::string& s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }
 
-TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
+/// One UCR client GETs one hot key: warm up, then count the heap
+/// allocations of 10k steady-state GETs.
+void expect_steady_state_get_allocates_nothing(const ClientBehavior& behavior) {
   Scheduler sched;
   sim::Fabric ib{sched, sim::ib_qdr_link()};
   sim::Host server_host{sched, 0, "server", 8};
@@ -77,8 +79,6 @@ TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
   Server server{sched, server_host, {}};
   server.attach_ucr_frontend(server_ucr);
 
-  ClientBehavior behavior;
-  behavior.op_timeout = sim::kNoTimeout;  // timed waits heap-allocate a WaitState
   Client client{sched, client_host, behavior};
   client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
 
@@ -121,6 +121,19 @@ TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
   EXPECT_EQ(delta, 0) << "heap allocations on the steady-state GET path";
 }
 
+TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
+  ClientBehavior behavior;
+  behavior.op_timeout = sim::kNoTimeout;
+  expect_steady_state_get_allocates_nothing(behavior);
+}
+
+// The default client waits for each reply with op_timeout armed. The wait
+// is intrusive and cancels its timer when the reply lands, so the timed
+// path allocates nothing either, and no dead timer grows the event heap.
+TEST(ZeroAlloc, SteadyStateUcrGetWithDefaultTimeoutAllocatesNothing) {
+  expect_steady_state_get_allocates_nothing(ClientBehavior{});
+}
+
 // The batched multiget inherits the property: one mget_into round — key
 // block pack, doorbell-batched sub-request issue, server-side single-pass
 // lookup + scatter-gather chunking, batch-drained reply, slot scatter —
@@ -139,7 +152,7 @@ TEST(ZeroAlloc, SteadyStateUcrMgetAllocatesNothing) {
   server.attach_ucr_frontend(server_ucr);
 
   ClientBehavior behavior;
-  behavior.op_timeout = sim::kNoTimeout;  // timed waits heap-allocate a WaitState
+  behavior.op_timeout = sim::kNoTimeout;
   Client client{sched, client_host, behavior};
   client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
 
@@ -209,7 +222,7 @@ TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
 
   ClientBehavior behavior;
   behavior.mode = ClientBehavior::Mode::rfp;
-  behavior.op_timeout = sim::kNoTimeout;  // timed waits heap-allocate a WaitState
+  behavior.op_timeout = sim::kNoTimeout;
   Client client{sched, client_host, behavior};
   client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
 
