@@ -414,7 +414,10 @@ class UcrConn final : public ServerConn {
     });
   }
 
-  ~UcrConn() override { runtime_->remove_endpoint_handler(down_handler_); }
+  ~UcrConn() override {
+    runtime_->remove_endpoint_handler(down_handler_);
+    runtime_->deregister_region({arena_.get(), arena_size_});
+  }
 
   sim::Task<Status> connect() override {
     const auto type =

@@ -10,14 +10,31 @@ namespace rmc::rfp {
 
 namespace ucrp = mc::ucrp;
 
+namespace {
+
+/// The grid point (origin + k·poll) at which a plain re-read first sees a
+/// frame that landed at `landed_at`. A landing exactly on a grid point is
+/// seen there only if that read was armed (one poll earlier) after the
+/// adapter engine started on the write: same-instant events run in
+/// arming order.
+sim::Time first_sighting(sim::Time origin, sim::Time poll, sim::Time landed_at,
+                         sim::Time engine_started) {
+  const sim::Time since = landed_at - origin;
+  if (since % poll == 0 && engine_started + poll < landed_at) return landed_at;
+  return origin + (since / poll + 1) * poll;
+}
+
+}  // namespace
+
 Channel::Channel(ucr::Runtime& runtime, sim::Host& host, ChannelConfig config)
-    : runtime_(&runtime), host_(&host), config_(config),
+    : runtime_(&runtime), host_(&host), config_(config), landing_(runtime.scheduler()),
       ops_(&obs::registry().counter("mc.rfp.ops")),
       fallbacks_(&obs::registry().counter("mc.rfp.fallbacks")),
       ring_full_(&obs::registry().counter("mc.rfp.ring_full")),
       oversize_(&obs::registry().counter("mc.rfp.oversize")),
       torn_retries_(&obs::registry().counter("mc.rfp.torn_retries")) {
   config_.slot_count = std::max(1u, config_.slot_count);
+  config_.poll_ns = std::max<sim::Time>(1, config_.poll_ns);
   config_.slot_size = std::max<std::uint32_t>(
       config_.slot_size,
       static_cast<std::uint32_t>(framed_size(ucrp::ResponseHeader::kSize)));
@@ -26,11 +43,20 @@ Channel::Channel(ucr::Runtime& runtime, sim::Host& host, ChannelConfig config)
   });
 }
 
-Channel::~Channel() { runtime_->remove_endpoint_handler(down_handler_id_); }
+Channel::~Channel() {
+  runtime_->remove_endpoint_handler(down_handler_id_);
+  // Dropping the registrations detaches the landing watch with its region:
+  // a response still in flight is refused (remote access error) instead
+  // of landing in freed memory and bumping a dead counter.
+  runtime_->deregister_region(response_arena_);
+  runtime_->deregister_region(request_staging_);
+}
 
 void Channel::invalidate() {
   ep_ = nullptr;
   descriptor_ = {};
+  // Ops sleeping on the watch must notice, as their next re-read would.
+  landing_.landed.fail_waiters();
 }
 
 std::span<std::byte> Channel::request_slot(std::uint32_t slot) {
@@ -59,7 +85,7 @@ sim::Task<Status> Channel::bootstrap(ucr::Endpoint& ep, sim::Time timeout) {
   response_arena_.assign(arena_bytes, std::byte{0});
   request_staging_.assign(arena_bytes, std::byte{0});
   runtime_->register_region(request_staging_);
-  const auto response_window = runtime_->expose_memory(response_arena_);
+  const auto response_window = runtime_->expose_memory(response_arena_, &landing_);
 
   BootstrapRequest req;
   req.response_ring = {response_window.addr, response_window.rkey, response_window.length};
@@ -155,6 +181,7 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
     }
     fallbacks_->inc();
   };
+  auto invalidated = [&] { return slots_epoch_ != epoch || !ready() || ep_ != &ep; };
 
   sim::Scheduler& sched = runtime_->scheduler();
   // The server's poll loop parks after park_after_ns of idleness; if our
@@ -171,7 +198,7 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
   last_traffic_ = sched.now();
 
   co_await host_->cpu().consume(config_.request_build_ns);
-  if (slots_epoch_ != epoch || !ready() || ep_ != &ep) {
+  if (invalidated()) {
     abandon(SlotState::free);
     co_return Errc::disconnected;
   }
@@ -198,16 +225,26 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
     co_return Errc::disconnected;
   }
 
+  // The poll grid: reads at origin + k·poll_ns. The last one is the first
+  // grid point at or after the deadline.
+  const sim::Time poll = config_.poll_ns;
+  const sim::Time origin = sched.now();
   const bool bounded = timeout != sim::kNoTimeout;
-  const sim::Time deadline = bounded ? sched.now() + timeout : 0;
+  const sim::Time deadline = bounded ? origin + timeout : 0;
+  const sim::Time last_read = bounded ? origin + (timeout + poll - 1) / poll * poll : 0;
+  auto slot_empty = [&] {
+    std::span<const std::byte> ignored;
+    return read_frame(response_slot(slot), seq, ignored) == FrameState::empty;
+  };
   std::uint32_t torn_seen = 0;
   for (;;) {
-    if (slots_epoch_ != epoch || !ready() || ep_ != &ep) {
+    if (invalidated()) {
       abandon(SlotState::lost);
       co_return Errc::disconnected;
     }
     std::span<const std::byte> resp_body;
-    switch (read_frame(response_slot(slot), seq, resp_body)) {
+    const FrameState state = read_frame(response_slot(slot), seq, resp_body);
+    switch (state) {
       case FrameState::ready: {
         if (resp_body.size() < ucrp::ResponseHeader::kSize) {
           // Verified but malformed — server bug, not a race. Epoch is
@@ -238,7 +275,39 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
       abandon(SlotState::lost);
       co_return Errc::timed_out;
     }
-    co_await sched.delay(config_.poll_ns);
+    if (state == FrameState::torn) {
+      co_await sched.delay(poll);  // a torn frame is re-read every grid point
+      continue;
+    }
+
+    // Empty: rather than re-read every poll_ns, sleep until a write lands
+    // in the arena (or the last grid point comes), then resume on the grid
+    // point where a re-read would first have seen the change.
+    sim::Time resume = 0;
+    for (;;) {
+      const bool landed = co_await landing_.landed.wait_geq(
+          landing_.landed.value() + 1, bounded ? last_read - sched.now() : sim::kNoTimeout);
+      const sim::Time now = sched.now();
+      if (invalidated()) {
+        resume = origin + ((now - origin) / poll + 1) * poll;  // the next read notices
+        break;
+      }
+      if (!slot_empty()) {
+        // Our frame landed just now. (A wait that times out resumes through
+        // a fresh event, so a landing queued for the same instant has run.)
+        resume = first_sighting(origin, poll, now, landing_.engine_started);
+        break;
+      }
+      if (landed) continue;  // another slot's response
+      resume = now;          // the last grid point; its read finds the slot empty
+      break;
+    }
+    if (bounded && resume > last_read) {
+      // The last read found the slot empty, exactly as above.
+      abandon(SlotState::lost);
+      co_return Errc::timed_out;
+    }
+    if (resume > sched.now()) co_await sched.delay(resume - sched.now());
   }
 }
 

@@ -36,8 +36,12 @@ struct ChannelConfig {
   /// bounds one framed request/response — larger bodies fall back to RPC.
   std::uint32_t slot_count = 16;
   std::uint32_t slot_size = 2048;
-  /// Local response-poll interval (client CPU is idle-waiting anyway, so
-  /// this only trades sim latency against poll events).
+  /// The client's response-poll grid: an op reads its response slot at
+  /// the post and then every poll_ns after it, and completes on the first
+  /// grid point whose read sees the frame. The client does not wake at
+  /// every grid point: it sleeps on the arena's landing watch and resumes
+  /// on that grid point (DESIGN.md §16), so this sets sim latency, not a
+  /// wake-up rate. Clamped to at least 1 ns.
   sim::Time poll_ns = 200;
   /// Torn response observations tolerated per op before falling back.
   std::uint32_t max_torn_retries = 2;
@@ -122,6 +126,7 @@ class Channel {
   ucr::Runtime::RemoteMemory request_window_{};
 
   std::vector<std::byte> response_arena_;  ///< exposed; server writes here
+  verbs::LandingWatch landing_;            ///< bumped per write landing in the arena
   std::vector<std::byte> request_staging_; ///< registered; frames built here
   std::vector<Slot> slots_;
   /// Bumped each time slots_ is rebuilt (re-bootstrap). execute()

@@ -165,19 +165,29 @@ void Runtime::register_region(std::span<std::byte> memory) {
   (void)find_or_register(memory);
 }
 
-verbs::MemoryRegion* Runtime::find_or_register(std::span<const std::byte> memory) {
+void Runtime::deregister_region(std::span<const std::byte> memory) {
+  const auto it = find_region(memory);
+  if (it == region_cache_.end()) return;
+  hca_->dereg_mr(*it->second.mr);
+  region_cache_.erase(it);
+}
+
+std::map<std::uint64_t, Runtime::Region>::iterator Runtime::find_region(
+    std::span<const std::byte> memory) {
   const auto base = reinterpret_cast<std::uint64_t>(memory.data());
   auto it = region_cache_.upper_bound(base);
-  if (it != region_cache_.begin()) {
-    --it;
-    if (base >= it->first && base + memory.size() <= it->first + it->second.len) {
-      return it->second.mr;
-    }
-  }
+  if (it == region_cache_.begin()) return region_cache_.end();
+  --it;
+  const bool covers = base + memory.size() <= it->first + it->second.len;
+  return covers ? it : region_cache_.end();
+}
+
+verbs::MemoryRegion* Runtime::find_or_register(std::span<const std::byte> memory) {
+  if (const auto it = find_region(memory); it != region_cache_.end()) return it->second.mr;
   // Registration-cache miss: register on the fly (charges the pin cost).
   auto mutable_span = std::span<std::byte>(const_cast<std::byte*>(memory.data()), memory.size());
   verbs::MemoryRegion* mr = &hca_->reg_mr(mutable_span);
-  region_cache_[base] = Region{memory.size(), mr};
+  region_cache_[reinterpret_cast<std::uint64_t>(memory.data())] = Region{memory.size(), mr};
   return mr;
 }
 
@@ -638,8 +648,10 @@ void Runtime::return_credits(Endpoint& ep) {
 
 // ------------------------------------------------- one-sided put / get
 
-Runtime::RemoteMemory Runtime::expose_memory(std::span<std::byte> memory) {
+Runtime::RemoteMemory Runtime::expose_memory(std::span<std::byte> memory,
+                                             verbs::LandingWatch* watch) {
   verbs::MemoryRegion* mr = find_or_register(memory);
+  if (watch != nullptr) mr->set_watch(watch);
   return RemoteMemory{reinterpret_cast<std::uint64_t>(memory.data()), mr->rkey(),
                       static_cast<std::uint32_t>(memory.size())};
 }

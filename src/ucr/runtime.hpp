@@ -121,6 +121,10 @@ class Runtime {
   /// need no on-the-fly registration (e.g. memcached slab arenas, client
   /// value buffers).
   void register_region(std::span<std::byte> memory);
+  /// Drop the registration covering `memory` (pass the span that was
+  /// registered or exposed) and its cache entry. Inbound one-sided writes
+  /// to it are refused from then on. No-op if there is none.
+  void deregister_region(std::span<const std::byte> memory);
 
   // ---------------------------------------------------------- connection
   /// Accept UCR clients on `port`; on_client runs once per endpoint
@@ -190,7 +194,10 @@ class Runtime {
   };
 
   /// Register (or look up) `memory` and return a shippable descriptor.
-  RemoteMemory expose_memory(std::span<std::byte> memory);
+  /// A non-null `watch` is attached to the region (verbs::LandingWatch):
+  /// every inbound write landing in it bumps the watch's counter.
+  RemoteMemory expose_memory(std::span<std::byte> memory,
+                             verbs::LandingWatch* watch = nullptr);
 
   /// One-sided write: src -> remote window (+offset). `done` bumps when
   /// the data is placed (remote CPU never involved).
@@ -240,6 +247,8 @@ class Runtime {
   Endpoint& adopt_ud_peer(sim::NicAddr nic, std::uint32_t qpn, std::uint64_t peer_ep_id);
   verbs::QueuePair& ensure_ud_qp();
   verbs::MemoryRegion* find_or_register(std::span<const std::byte> memory);
+  /// The registration-cache entry covering `memory`, or end().
+  std::map<std::uint64_t, Region>::iterator find_region(std::span<const std::byte> memory);
 
   /// Grab a send-staging slot (index into the staging arena).
   std::uint32_t acquire_slot();

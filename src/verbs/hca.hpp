@@ -197,6 +197,9 @@ class Hca {
   std::unordered_map<std::uint64_t, std::shared_ptr<PendingConnect>> pending_connects_;
   std::unordered_map<std::uint16_t, ListenerConfig> listeners_;
 
+  /// When the adapter engine started on the packet handle() is serving.
+  sim::Time engine_started_ = 0;
+
   bool rto_armed_ = false;
   std::vector<std::uint64_t> rto_scratch_;  ///< expired tokens, reused per sweep
 

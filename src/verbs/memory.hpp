@@ -12,11 +12,23 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "simnet/event.hpp"
 #include "verbs/types.hpp"
 
 namespace rmc::verbs {
 
 class ProtectionDomain;
+
+/// Optional record of the inbound RDMA Writes that land in one region, for
+/// a local poller that would rather sleep than re-read memory. The adapter
+/// bumps `landed` once a write's bytes are in place and first records
+/// when its engine started on that write, which is what a poller needs to
+/// tell the scheduler's order of same-instant events (rfp::Channel).
+struct LandingWatch {
+  explicit LandingWatch(sim::Scheduler& sched) : landed(sched) {}
+  sim::Counter landed;
+  sim::Time engine_started = 0;
+};
 
 /// A registered region of application memory.
 class MemoryRegion {
@@ -36,10 +48,16 @@ class MemoryRegion {
     return a >= base && len <= memory_.size() && a - base <= memory_.size() - len;
   }
 
+  /// The region's landing watch, or null. The watch must outlive the
+  /// region or be detached (set_watch(nullptr)) first.
+  LandingWatch* watch() const { return watch_; }
+  void set_watch(LandingWatch* watch) { watch_ = watch; }
+
  private:
   ProtectionDomain* pd_;
   std::span<std::byte> memory_;
   MrKeys keys_;
+  LandingWatch* watch_ = nullptr;
 };
 
 /// Groups memory regions under one HCA; validates keys for local and

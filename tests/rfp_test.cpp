@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/testbed.hpp"
 #include "memcached/client.hpp"
 #include "memcached/server.hpp"
 #include "obs/metrics.hpp"
@@ -304,13 +305,13 @@ struct ChannelWorld {
 
   /// One GET through the raw channel; returns the op result status (the
   /// response status is checked by the caller via out).
-  Task<Result<rfp::OpResult>> raw_get(std::string_view key) {
+  Task<Result<rfp::OpResult>> raw_get(std::string_view key, sim::Time timeout = 1 * kNsPerSec) {
     ucrp::RequestHeader hdr;
     hdr.op = ucrp::Op::get;
     hdr.key_len = static_cast<std::uint16_t>(key.size());
     co_return co_await channel->execute(
         *ep, hdr, std::as_bytes(std::span<const char>(key.data(), key.size())), {},
-        1 * kNsPerSec);
+        timeout);
   }
 
   Task<Result<rfp::OpResult>> raw_set(std::string_view key, const std::string& value) {
@@ -715,6 +716,221 @@ TEST(Rfp, TornBudgetExhaustionQuarantinesAndReclaimsTheSlot) {
   }(w));
 }
 
+// ------------------------------------------------- the client poll grid ----
+//
+// The client reads its response slot on a fixed grid: at the post, then
+// every poll_ns. Whatever mechanism decides when the client next looks
+// (a sleep per grid step, or a wait on the arena's landing watch), the op
+// must complete on the same grid point, so every time below is pinned
+// exactly. The values were recorded with the plain one-sleep-per-step
+// loop.
+
+/// Absolute completion times of three back-to-back ring GETs of a
+/// `size`-byte value on a one-client TestBed.
+std::vector<sim::Time> ring_get_times(core::ClusterKind cluster, sim::Time poll_ns,
+                                      std::uint32_t size) {
+  core::TestBedConfig config;
+  config.cluster = cluster;
+  config.client.mode = mc::ClientBehavior::Mode::rfp;
+  config.client.rfp.poll_ns = poll_ns;
+  core::TestBed bed(config);
+  std::vector<sim::Time> times;
+  bed.scheduler().spawn([](core::TestBed& b, std::uint32_t len,
+                           std::vector<sim::Time>& out) -> Task<> {
+    if (!(co_await b.connect_all()).ok()) co_return;
+    mc::Client& client = b.client(0);
+    if (!(co_await client.set("grid", bytes_view(std::string(len, 'g')))).ok()) co_return;
+    for (int i = 0; i < 3; ++i) {
+      auto r = co_await client.get("grid");
+      out.push_back(r.ok() && r->data.size() == len ? b.scheduler().now() : 0);
+    }
+  }(bed, size, times));
+  bed.scheduler().run();
+  return times;
+}
+
+TEST(Rfp, ElidedPollKeepsThePlainPollGrid) {
+  using core::ClusterKind;
+  const std::uint64_t ring_ops0 = metric("mc.rfp.ops");
+  const std::uint64_t ring_falls0 = metric("mc.rfp.fallbacks");
+  struct Cell {
+    ClusterKind cluster;
+    sim::Time poll_ns;
+    std::uint32_t size;
+    std::vector<sim::Time> expected;
+  };
+  // Cluster A's inbound-write engine takes 240 ns. At poll_ns 150 (1 KB),
+  // 170 (64 B) and 200 (64 B) a response lands exactly on a grid point
+  // more than poll_ns after its engine started, so it is seen there; at
+  // 240 (1 KB) one lands exactly poll_ns after, so it is not.
+  const std::vector<Cell> cells = {
+      {ClusterKind::cluster_a, 150, 64, {47153, 60058, 73113}},
+      {ClusterKind::cluster_a, 150, 1024, {49029, 62610, 76191}},
+      {ClusterKind::cluster_a, 170, 64, {47553, 60528, 73503}},
+      {ClusterKind::cluster_a, 170, 1024, {49159, 63060, 76621}},
+      {ClusterKind::cluster_a, 200, 64, {47553, 60658, 73563}},
+      {ClusterKind::cluster_a, 200, 1024, {49629, 63610, 77591}},
+      {ClusterKind::cluster_a, 240, 64, {47753, 60658, 73563}},
+      {ClusterKind::cluster_a, 240, 1024, {49749, 63690, 77631}},
+      {ClusterKind::cluster_a, 300, 64, {47153, 60058, 73263}},
+      {ClusterKind::cluster_a, 300, 1024, {49629, 63510, 77091}},
+      {ClusterKind::cluster_b, 150, 64, {30423, 38978, 47683}},
+      {ClusterKind::cluster_b, 150, 1024, {31399, 40630, 49711}},
+      {ClusterKind::cluster_b, 170, 64, {30423, 38978, 47703}},
+      {ClusterKind::cluster_b, 170, 1024, {31349, 40150, 49291}},
+      {ClusterKind::cluster_b, 200, 64, {30323, 39028, 47733}},
+      {ClusterKind::cluster_b, 200, 1024, {31399, 40580, 49761}},
+      {ClusterKind::cluster_b, 240, 64, {30483, 39068, 47653}},
+      {ClusterKind::cluster_b, 240, 1024, {31519, 40660, 49801}},
+      {ClusterKind::cluster_b, 300, 64, {30423, 39128, 47833}},
+      {ClusterKind::cluster_b, 300, 1024, {31399, 40780, 49861}},
+  };
+  for (const Cell& c : cells) {
+    EXPECT_EQ(ring_get_times(c.cluster, c.poll_ns, c.size), c.expected)
+        << core::cluster_name(c.cluster) << " poll_ns " << c.poll_ns << " size " << c.size;
+  }
+  // Every SET and GET above rode the ring.
+  EXPECT_EQ(metric("mc.rfp.ops") - ring_ops0, cells.size() * 4);
+  EXPECT_EQ(metric("mc.rfp.fallbacks") - ring_falls0, 0u);
+
+  // A forged torn response frame (ClientRetriesTornResponseFrameUntilTheRealOneLands):
+  // a torn read is re-read on the next grid point, so the end time and
+  // the torn-retry count are those of the plain loop.
+  {
+    rfp::ChannelConfig cfg;
+    cfg.max_torn_retries = 64;
+    ChannelWorld w(cfg);
+    const std::uint64_t torn0 = metric("mc.rfp.torn_retries");
+    sim::Time end = 0;
+    w.drive([](ChannelWorld& wk, sim::Time& end2) -> Task<> {
+      EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+      auto stored = co_await wk.raw_set("heal", "healed-value");
+      EXPECT_TRUE(stored.ok());
+      if (!stored.ok()) co_return;
+      wk.channel->release(stored->slot);
+      const std::uint32_t slot_size = wk.channel->descriptor().slot_size;
+      forge_torn_frame(wk.channel->response_arena_for_test().subspan(0, slot_size),
+                       wk.channel->slot_seq_for_test(0));
+      auto r = co_await wk.raw_get("heal");
+      EXPECT_TRUE(r.ok());
+      end2 = wk.sched.now();
+      if (r.ok()) wk.channel->release(r->slot);
+    }(w, end));
+    EXPECT_EQ(end, 28528);
+    EXPECT_EQ(metric("mc.rfp.torn_retries") - torn0, 36u);
+  }
+
+  // Timeouts around the response's landing: an op gives up on the first
+  // grid point at or after its deadline, having seen the frame only if a
+  // plain read there would have.
+  {
+    ChannelWorld w;
+    std::vector<std::pair<sim::Time, bool>> got;
+    w.drive([](ChannelWorld& wk, std::vector<std::pair<sim::Time, bool>>& out) -> Task<> {
+      EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+      auto stored = co_await wk.raw_set("late", "late-value");
+      EXPECT_TRUE(stored.ok());
+      if (!stored.ok()) co_return;
+      wk.channel->release(stored->slot);
+      for (sim::Time timeout = 6'900; timeout <= 9'300; timeout += 150) {
+        const sim::Time t0 = wk.sched.now();
+        auto r = co_await wk.raw_get("late", timeout);
+        out.emplace_back(wk.sched.now() - t0, r.ok());
+        if (r.ok()) {
+          wk.channel->release(r->slot);
+        } else {
+          EXPECT_EQ(r.error(), Errc::timed_out);
+        }
+        co_await wk.sched.delay(30_us);  // let a late response land
+      }
+    }(w, got));
+    const std::vector<std::pair<sim::Time, bool>> expected = {
+        {7300, false},
+        {7500, false},
+        {7500, false},
+        {7500, true},
+        {7900, true},
+        {8100, true},
+        {7900, true},
+        {7900, true},
+        {7900, true},
+        {7900, true},
+        {7900, true},
+        {7900, true},
+        {7900, true},
+        {7900, true},
+        {7900, true},
+        {7900, true},
+        {7900, true},
+    };
+    EXPECT_EQ(got, expected);
+  }
+
+  // A landing exactly on the last grid point: at poll_ns 233 the second
+  // GET's response lands on a grid point, 250 ns after the adapter engine
+  // started on it, so a plain read there sees it. Deadlines whose last
+  // read is that grid point must still return the value there.
+  {
+    std::vector<std::pair<sim::Time, bool>> got;
+    for (const sim::Time timeout : {7'223, 7'224, 7'300, 7'456, 7'457}) {
+      rfp::ChannelConfig cfg;
+      cfg.poll_ns = 233;
+      ChannelWorld w(cfg);
+      w.drive([](ChannelWorld& wk, sim::Time limit,
+                 std::vector<std::pair<sim::Time, bool>>& out) -> Task<> {
+        EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+        auto stored = co_await wk.raw_set("late", "late-value");
+        EXPECT_TRUE(stored.ok());
+        if (!stored.ok()) co_return;
+        wk.channel->release(stored->slot);
+        auto first = co_await wk.raw_get("late");
+        EXPECT_TRUE(first.ok());
+        if (!first.ok()) co_return;
+        wk.channel->release(first->slot);
+        co_await wk.sched.delay(30_us);
+        auto r = co_await wk.raw_get("late", limit);
+        out.emplace_back(wk.sched.now(), r.ok());
+        if (r.ok()) wk.channel->release(r->slot);
+      }(w, timeout, got));
+    }
+    const std::vector<std::pair<sim::Time, bool>> expected = {
+        {66196, false},
+        {66429, true},
+        {66429, true},
+        {66429, true},
+        {66429, true},
+    };
+    EXPECT_EQ(got, expected);
+  }
+
+  // An endpoint that fails mid-op: the op notices on the first grid
+  // point after the channel is invalidated, as a plain re-read would.
+  {
+    std::vector<std::pair<sim::Time, Errc>> got;
+    for (const sim::Time fail_after : {1'500, 1'800, 2'100, 2'300, 5'000}) {
+      ChannelWorld w;
+      w.drive([](ChannelWorld& wk, sim::Time after,
+                 std::vector<std::pair<sim::Time, Errc>>& out) -> Task<> {
+        EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+        wk.sched.spawn([](ChannelWorld& wk2, sim::Time d) -> Task<> {
+          co_await wk2.sched.delay(d);
+          wk2.client_ucr.fail_endpoint(*wk2.ep);
+        }(wk, after));
+        auto r = co_await wk.raw_get("late");
+        out.emplace_back(wk.sched.now(), r.ok() ? Errc::ok : r.error());
+      }(w, fail_after, got));
+    }
+    const std::vector<std::pair<sim::Time, Errc>> expected = {
+        {14628, Errc::disconnected},
+        {14828, Errc::disconnected},
+        {15228, Errc::disconnected},
+        {15428, Errc::disconnected},
+        {18028, Errc::disconnected},
+    };
+    EXPECT_EQ(got, expected);
+  }
+}
+
 // ------------------------------------------------------------- chaos ----
 
 /// Generation-stamped value (the one-sided suite's scheme): any stitch of
@@ -825,6 +1041,33 @@ TEST(Rfp, PollLoopParksWhenIdleAndWakesForTheNextOp) {
 
   EXPECT_GT(metric("mc.rfp.poll.parks") - parks0, 0u);
   EXPECT_GT(metric("mc.rfp.wakes") - wakes0, 0u);
+}
+
+// ----------------------------------------------------- arena lifetime ----
+
+// The response arena is exposed with a landing watch that lives in the
+// Channel. Destroying the Channel must take the registration with it: a
+// response still in flight is then refused at the client's adapter with a
+// remote access error (which fails the server's endpoint and retires its
+// ring) instead of landing in freed memory and bumping a dead counter.
+TEST(Rfp, ResponseLandingAfterChannelDestroyedIsRefused) {
+  ChannelWorld w;
+  w.drive([](ChannelWorld& wk) -> Task<> {
+    EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+    auto stored = co_await wk.raw_set("gone", "gone-value");
+    EXPECT_TRUE(stored.ok());
+    if (!stored.ok()) co_return;
+    wk.channel->release(stored->slot);
+
+    // Give up long before the response can land, then drop the channel
+    // with that response in flight.
+    auto r = co_await wk.raw_get("gone", 1_us);
+    EXPECT_EQ(r.error(), Errc::timed_out);
+    EXPECT_EQ(wk.ring->ring_count(), 1u);
+    wk.channel.reset();
+  }(w));
+  w.sched.run();
+  EXPECT_EQ(w.ring->ring_count(), 0u) << "the late response write was not refused";
 }
 
 // ------------------------------------------------- bootstrap lifetime ----

@@ -207,7 +207,7 @@ TEST(ZeroAlloc, SteadyStateUcrMgetAllocatesNothing) {
 // server's sweep + execute + response write, and the client's local
 // response poll are all pooled or in-place. Request and response frames
 // live in arenas sized at bootstrap; slot epochs replace clearing writes.
-TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
+void expect_steady_state_rfp_get_and_set_allocate_nothing(ClientBehavior behavior) {
   Scheduler sched;
   sim::Fabric ib{sched, sim::ib_qdr_link()};
   sim::Host server_host{sched, 0, "server", 8};
@@ -220,9 +220,7 @@ TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
   server.attach_ucr_frontend(server_ucr);
   rfp::RingServer ring{server_ucr, server_host, server.store(), {}};
 
-  ClientBehavior behavior;
   behavior.mode = ClientBehavior::Mode::rfp;
-  behavior.op_timeout = sim::kNoTimeout;
   Client client{sched, client_host, behavior};
   client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
 
@@ -274,6 +272,19 @@ TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
   // The ops above actually rode the rings (one bootstrapped client).
   EXPECT_EQ(ring.ring_count(), 1u);
   EXPECT_GT(obs::registry().counter("mc.rfp.ops").value(), 20000u);
+}
+
+TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
+  ClientBehavior behavior;
+  behavior.op_timeout = sim::kNoTimeout;
+  expect_steady_state_rfp_get_and_set_allocate_nothing(behavior);
+}
+
+// With the default op_timeout, an op that finds its response slot empty
+// sleeps on the arena's landing watch in a timed wait: the wait arms a
+// timer and cancels it when the response lands, allocating nothing.
+TEST(ZeroAlloc, SteadyStateRfpGetAndSetWithDefaultTimeoutAllocateNothing) {
+  expect_steady_state_rfp_get_and_set_allocate_nothing(ClientBehavior{});
 }
 
 // Same property with the attribution profiler ON: ProfScope push/pop and
